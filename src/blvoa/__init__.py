@@ -38,6 +38,7 @@ from .affine import (
     dual_coxeter_number,
     fz_image,
     is_admissible,
+    level_of,
     shifted_pairing,
 )
 from .zero_weight import (
@@ -46,7 +47,6 @@ from .zero_weight import (
     explicit_p,
     explicit_q,
     generate_module,
-    oracle_equals_explicit_span,
     p0_basis,
     singular_image,
     verify_membership,
@@ -57,7 +57,6 @@ from .classify import (
     certify,
     classify_category_o,
     classify_finite_dim,
-    level_of,
     merge_results,
     mu_s,
     mu_s_prime,

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .liealg import LieAlgebra
-from .rootsys import Root, RootSystem, Weight, inner
-from .uea import MIXED, UEA, TermGuardExceeded, UEAElement
+from .rootsys import Root, RootSystem, Weight, eps_root, inner
+from .uea import DEFAULT_TERM_GUARD, MIXED, UEA, TermGuardExceeded, UEAElement
 
 Rat = Union[int, Fraction]
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
@@ -31,6 +31,11 @@ CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes
 def dual_coxeter_number(rank: int) -> int:
     """h^vee = 2l - 1 for type B_l."""
     return 2 * rank - 1
+
+
+def level_of(rank: int, n: int) -> Fraction:
+    """The level n - l + 1/2 of the degree-2n singular vector."""
+    return Fraction(2 * n - 2 * rank + 1, 2)
 
 
 def affine_bracket(
@@ -131,7 +136,9 @@ class VermaVector:
 class VacuumModule:
     """N(k, 0) machinery at a fixed rational level k."""
 
-    def __init__(self, lie: LieAlgebra, level: Rat, term_guard: int = 5_000_000):
+    def __init__(
+        self, lie: LieAlgebra, level: Rat, term_guard: int = DEFAULT_TERM_GUARD
+    ):
         self.lie = lie
         self.level = Fraction(level)
         self.term_guard = term_guard
@@ -150,7 +157,11 @@ class VacuumModule:
         return self.level * v
 
     def apply(self, idx: int, mode: int, v: VermaVector) -> VermaVector:
-        """x_idx(mode) . v, normal-ordered."""
+        """x_idx(mode) . v, normal-ordered.
+
+        Raises TermGuardExceeded once the result holds more than term_guard
+        words.
+        """
         out: dict[CWord, Fraction] = {}
         budget = self.term_guard
         for word, c in v.terms.items():
@@ -231,30 +242,27 @@ def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Fraction]:
     """
     l = lie.rank
     out: dict[CWord, Fraction] = {}
-
-    def eidx(a: int, b: int = 0, sign: int = 0) -> int:
-        coords = [0] * l
-        coords[a - 1] = 1
-        if b:
-            coords[b - 1] = sign
-        return lie.e(Root(coords)).index
-
-    i1 = eidx(1)
+    i1 = lie.e(eps_root(l, 1)).index
     out[((-1, i1), (-1, i1))] = Fraction(-1, 4)
     for j in range(2, l + 1):
-        pair = tuple(sorted([(-1, eidx(1, j, -1)), (-1, eidx(1, j, 1))]))
+        minus = lie.e(eps_root(l, 1, j, -1)).index
+        plus = lie.e(eps_root(l, 1, j, 1)).index
+        pair = tuple(sorted([(-1, minus), (-1, plus)]))
         out[pair] = out.get(pair, Fraction(0)) + 1
     return out
 
 
 def build_singular_candidate(
-    lie: LieAlgebra, n: int, level: Optional[Rat] = None
+    lie: LieAlgebra,
+    n: int,
+    level: Optional[Rat] = None,
+    term_guard: int = DEFAULT_TERM_GUARD,
 ) -> VermaVector:
     """The candidate null vector at level n - l + 1/2 (or an override)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    k = Fraction(level) if level is not None else Fraction(2 * n - 2 * lie.rank + 1, 2)
-    module = VacuumModule(lie, k)
+    k = level_of(lie.rank, n) if level is None else level
+    module = VacuumModule(lie, k, term_guard)
     v = module.vacuum()
     u = quadratic_creation_term(lie)
     for _ in range(n):
@@ -275,10 +283,16 @@ class SingularReport:
 
 
 def check_singular(
-    lie: LieAlgebra, n: int, level: Optional[Rat] = None
+    lie: LieAlgebra,
+    n: int,
+    level: Optional[Rat] = None,
+    term_guard: int = DEFAULT_TERM_GUARD,
 ) -> SingularReport:
-    """True iff e_i(0).v = 0 for all i and f_theta(1).v = 0 at this level."""
-    v = build_singular_candidate(lie, n, level)
+    """True iff e_i(0).v = 0 for all i and f_theta(1).v = 0 at this level.
+
+    term_guard bounds the words of each single VacuumModule.apply result.
+    """
+    v = build_singular_candidate(lie, n, level, term_guard)
     module = v.module
     residuals: dict[str, VermaVector] = {}
     simple = lie.rootsys.simple_roots
@@ -330,10 +344,6 @@ class AffineWeight:
     level: Fraction
     finite: Weight
 
-    @classmethod
-    def make(cls, level: Rat, finite: Weight) -> "AffineWeight":
-        return cls(Fraction(level), finite)
-
 
 @dataclass(frozen=True)
 class AffineRealRoot:
@@ -343,12 +353,10 @@ class AffineRealRoot:
     m: int
 
     def __post_init__(self):
-        support = [c for c in self.alpha.eps if c != 0]
-        if not (support and all(abs(c) == 1 for c in support) and len(support) <= 2):
-            raise ValueError(f"{self.alpha} is not a finite root")
+        Root(self.alpha.eps)   # raises ValueError unless alpha is a B_l root
         if self.m < 0:
             raise ValueError("loop mode must be nonnegative")
-        if self.m == 0 and support[0] < 0:
+        if self.m == 0 and next(c for c in self.alpha.eps if c) < 0:
             raise ValueError("mode 0 requires a positive finite root")
 
     def coroot_vector(self, rank: int) -> tuple[Fraction, ...]:

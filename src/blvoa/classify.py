@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .affine import AdmissibilityResult, AffineWeight, is_admissible
+from .affine import AdmissibilityResult, AffineWeight, is_admissible, level_of
 from .liealg import LieAlgebra
 from .rootsys import RootSystem, Weight, weight_from_fundamental
 from .zero_weight import explicit_q
@@ -38,10 +38,6 @@ class ClassificationResult:
 
     def weights(self) -> list[Weight]:
         return [e.weight for e in self.entries]
-
-
-def level_of(rank: int, n: int) -> Fraction:
-    return Fraction(2 * n - 2 * rank + 1, 2)
 
 
 def _sorted_entries(entries: Iterable[Entry]) -> list[Entry]:

@@ -16,23 +16,28 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineWeight, check_singular, is_admissible
+from .affine import AffineWeight, check_singular, is_admissible, level_of
 from .classify import (
-    ClassificationResult,
     certify,
     classify_category_o,
     classify_finite_dim,
-    level_of,
     merge_results,
 )
 from .liealg import LieAlgebra
 from .rootsys import build_root_system, weight_from_fundamental
-from .uea import UEA, TermGuardExceeded, identity_suite, poly_in_span
+from .uea import (
+    DEFAULT_TERM_GUARD,
+    UEA,
+    TermGuardExceeded,
+    identity_suite,
+    poly_in_span,
+    spans_equal,
+)
 from .zero_weight import (
+    DEFAULT_DIM_CEILING,
     OracleCeilingExceeded,
     explicit_polys,
     explicit_q,
-    oracle_equals_explicit_span,
     p0_basis,
 )
 
@@ -84,14 +89,13 @@ def build_parser() -> _Parser:
     p = _Parser(prog="blvoa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_flag=True):
+    def common(sp, n_flag=True, guard=False):
         sp.add_argument("--rank", type=int, required=True)
         if n_flag:
             sp.add_argument("--n", type=int, default=1)
         sp.add_argument("--json", action="store_true")
-        sp.add_argument("--guard", type=int, default=None)
-        sp.add_argument("--oracle-ceiling", type=int, default=2000)
-        sp.add_argument("--mmax", type=int, default=None)
+        if guard:
+            sp.add_argument("--guard", type=int, default=None)
 
     sp = sub.add_parser("classify", help="enumerate classified highest weights")
     common(sp)
@@ -99,15 +103,17 @@ def build_parser() -> _Parser:
     sp.add_argument("--finite-dim", action="store_true")
 
     sp = sub.add_parser("check-singular", help="annihilation test for the null vector")
-    common(sp)
+    common(sp, guard=True)
     sp.add_argument("--level", type=str, default=None)
 
     sp = sub.add_parser("p0", help="zero-weight polynomial span")
-    common(sp)
+    common(sp, guard=True)
+    sp.add_argument("--oracle-ceiling", type=int, default=DEFAULT_DIM_CEILING)
     sp.add_argument("--compare", action="store_true")
 
     sp = sub.add_parser("admissible", help="certify one affine weight")
     common(sp, n_flag=False)
+    sp.add_argument("--mmax", type=int, default=None)
     sp.add_argument("--level", type=str, required=True)
     sp.add_argument("--weight", type=str, required=True)
 
@@ -116,7 +122,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--weight", type=str, required=True)
 
     sp = sub.add_parser("identities", help="run the rewriting-identity suite")
-    common(sp)
+    common(sp, guard=True)
     return p
 
 
@@ -129,7 +135,7 @@ def default_guard(args) -> int:
             return int(env)
         except ValueError as exc:
             raise UsageError(f"bad {GUARD_ENV} value {env!r}") from exc
-    return 5_000_000
+    return DEFAULT_TERM_GUARD
 
 
 def check_rank(rank: int) -> None:
@@ -137,25 +143,32 @@ def check_rank(rank: int) -> None:
         raise UsageError("rank must be at least 2")
 
 
-def entries_payload(result: ClassificationResult) -> list[dict]:
-    out = []
-    for e in result.entries:
-        out.append(
-            {
-                "weight_fundamental": [frac_str(c) for c in e.weight.fundamental()],
-                "tags": list(e.tags),
-                "admissible": bool(e.admissible),
-            }
-        )
-    return out
+def emit(args, level: Fraction, status: str, lines: list[str], entries=()) -> None:
+    """Print the table lines, or the JSON schema shared by every command.
 
-
-def emit(payload: dict, as_json: bool, table_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in table_lines:
+    entries are (weight, tags, admissible) triples; admissible and dim take
+    no --n and report n = 0.
+    """
+    if not args.json:
+        for line in lines:
             print(line)
+        return
+    payload = {
+        "command": args.command,
+        "rank": args.rank,
+        "n": getattr(args, "n", 0),
+        "level": frac_str(level),
+        "entries": [
+            {
+                "weight_fundamental": [frac_str(c) for c in mu.fundamental()],
+                "tags": list(tags),
+                "admissible": bool(admissible),
+            }
+            for mu, tags, admissible in entries
+        ],
+        "status": status,
+    }
+    print(json.dumps(payload, indent=2))
 
 
 def fmt_weight(w) -> str:
@@ -177,14 +190,6 @@ def cmd_classify(args) -> int:
         fd = classify_finite_dim(rs, args.n)
         result = merge_results(result, fd) if result is not None else fd
     result = certify(result, rs)
-    payload = {
-        "command": "classify",
-        "rank": args.rank,
-        "n": args.n,
-        "level": frac_str(result.level),
-        "entries": entries_payload(result),
-        "status": "ok" if result.complete else "candidate-list",
-    }
     lines = [
         f"level {frac_str(result.level)}  rank {args.rank}  n {args.n}"
         + ("" if result.complete else "  [candidate list]")
@@ -198,7 +203,9 @@ def cmd_classify(args) -> int:
             + f"  admissible={'yes' if e.admissible else 'NO'}"
         )
     lines.append(f"{len(result.entries)} weights")
-    emit(payload, args.json, lines)
+    status = "ok" if result.complete else "candidate-list"
+    entries = [(e.weight, e.tags, e.admissible) for e in result.entries]
+    emit(args, result.level, status, lines, entries)
     if any(not e.admissible for e in result.entries):
         raise InconsistencyError("a classified weight failed admissibility")
     return 0
@@ -210,20 +217,13 @@ def cmd_check_singular(args) -> int:
         raise UsageError("n must be at least 1")
     lie = LieAlgebra(args.rank)
     level = frac(args.level) if args.level is not None else None
-    report = check_singular(lie, args.n, level)
-    payload = {
-        "command": "check-singular",
-        "rank": args.rank,
-        "n": args.n,
-        "level": frac_str(report.level),
-        "entries": [],
-        "status": "PASS" if report.ok else f"FAIL:{report.residual_terms}",
-    }
+    report = check_singular(lie, args.n, level, default_guard(args))
     lines = [
         f"{'PASS' if report.ok else 'FAIL'}: level {frac_str(report.level)},"
         f" residual terms {report.residual_terms}"
     ]
-    emit(payload, args.json, lines)
+    status = "PASS" if report.ok else f"FAIL:{report.residual_terms}"
+    emit(args, report.level, status, lines)
     return 0
 
 
@@ -238,29 +238,22 @@ def cmd_p0(args) -> int:
     for p in oracle:
         lines.append(f"  {p}")
     status = f"dim={len(oracle)}"
+    consistent = True
     if args.compare:
-        explicit = explicit_polys(lie, args.n) + [explicit_q(lie, args.n)]
-        member = all(poly_in_span(p, oracle) for p in explicit)
-        equal = oracle_equals_explicit_span(engine, args.n, args.oracle_ceiling)
+        explicit = explicit_polys(lie, args.n)
+        member = all(
+            poly_in_span(p, oracle) for p in explicit + [explicit_q(lie, args.n)]
+        )
+        # the oracle span must equal span(p_1..p_l) at n = 1
+        equal = spans_equal(oracle, explicit)
         lines.append(f"explicit p_i, q in oracle span: {str(member).lower()}")
         lines.append(f"oracle span == explicit span: {str(equal).lower()}")
         status += f",member={str(member).lower()},equal={str(equal).lower()}"
-        if not member or (args.n == 1 and not equal):
-            emit(_p0_payload(args, status), args.json, lines)
-            raise InconsistencyError("explicit polynomials escape the oracle span")
-    emit(_p0_payload(args, status), args.json, lines)
+        consistent = member and (equal or args.n != 1)
+    emit(args, level_of(args.rank, args.n), status, lines)
+    if not consistent:
+        raise InconsistencyError("explicit polynomials escape the oracle span")
     return 0
-
-
-def _p0_payload(args, status: str) -> dict:
-    return {
-        "command": "p0",
-        "rank": args.rank,
-        "n": args.n,
-        "level": frac_str(level_of(args.rank, args.n)),
-        "entries": [],
-        "status": status,
-    }
 
 
 def cmd_admissible(args) -> int:
@@ -270,26 +263,12 @@ def cmd_admissible(args) -> int:
     lam = AffineWeight(frac(args.level), mu)
     result = is_admissible(lam, rs, m_max=args.mmax)
     names = result.simple_names(rs)
-    payload = {
-        "command": "admissible",
-        "rank": args.rank,
-        "n": 0,
-        "level": frac_str(lam.level),
-        "entries": [
-            {
-                "weight_fundamental": [frac_str(c) for c in mu.fundamental()],
-                "tags": names,
-                "admissible": result.ok,
-            }
-        ],
-        "status": "ok",
-    }
     lines = [
         f"admissible: {str(result.ok).lower()}; Pi_check: {{{', '.join(names)}}}",
         f"window m <= {result.m_max}, integral coroots {result.integral_count},"
         f" span rank {result.span_rank}",
     ]
-    emit(payload, args.json, lines)
+    emit(args, lam.level, "ok", lines, [(mu, names, result.ok)])
     return 0
 
 
@@ -300,21 +279,7 @@ def cmd_dim(args) -> int:
     if not rs.is_dominant_integral(mu):
         raise UsageError("weight is not dominant integral")
     d = rs.weyl_dim(mu)
-    payload = {
-        "command": "dim",
-        "rank": args.rank,
-        "n": 0,
-        "level": "0/1",
-        "entries": [
-            {
-                "weight_fundamental": [frac_str(c) for c in mu.fundamental()],
-                "tags": [],
-                "admissible": True,
-            }
-        ],
-        "status": f"dim={d}",
-    }
-    emit(payload, args.json, [str(d)])
+    emit(args, Fraction(0), f"dim={d}", [str(d)], [(mu, [], True)])
     return 0
 
 
@@ -327,18 +292,11 @@ def cmd_identities(args) -> int:
     passed = sum(1 for _, _, s in records if s == "pass")
     skipped = sum(1 for _, _, s in records if s == "skip")
     failed = [(i, p) for i, p, s in records if s == "FAIL"]
-    payload = {
-        "command": "identities",
-        "rank": args.rank,
-        "n": args.n,
-        "level": frac_str(level_of(args.rank, args.n)),
-        "entries": [],
-        "status": f"pass={passed},skip={skipped},fail={len(failed)}",
-    }
     lines = [f"{passed} passed, {skipped} skipped, {len(failed)} failed"]
     for ident, params in failed:
         lines.append(f"  FAIL identity {ident} {params}")
-    emit(payload, args.json, lines)
+    status = f"pass={passed},skip={skipped},fail={len(failed)}"
+    emit(args, level_of(args.rank, args.n), status, lines)
     if failed:
         raise InconsistencyError("identity suite failed")
     return 0

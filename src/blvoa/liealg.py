@@ -14,7 +14,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .rootsys import Root, RootSystem, Weight, build_root_system, coroot_pairing
+from .rootsys import (
+    Root,
+    RootSystem,
+    Weight,
+    build_root_system,
+    coroot_pairing,
+    eps_root,
+)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -32,10 +39,6 @@ def _unit(n: int, i: int, j: int, c: Fraction = Fraction(1)) -> Matrix:
     m = _zero(n)
     m[i - 1][j - 1] = c
     return _freeze(m)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
@@ -137,46 +140,41 @@ class LieAlgebra:
 
     def _build_root_vectors(self) -> None:
         l = self.rank
-        e_pos: dict[tuple, Matrix] = {}
-        f_pos: dict[tuple, Matrix] = {}
-
-        def key(i: int, j: int, sign: int) -> tuple:
-            coords = [0] * l
-            coords[i - 1] = 1
-            if j:
-                coords[j - 1] = sign
-            return tuple(Fraction(c) for c in coords)
-
+        e_pos: dict[Root, Matrix] = {}
+        f_pos: dict[Root, Matrix] = {}
         # e_{eps_i - eps_j} = [e_i, [e_{i+1}, [... [e_{j-2}, e_{j-1}] ...]]]
         for j in range(2, l + 1):
             for i in range(j - 1, 0, -1):
+                alpha = eps_root(l, i, j, -1)
                 m = self._chev_e[j - 2]
                 for t in range(j - 2, i - 1, -1):
                     m = mat_bracket(self._chev_e[t - 1], m)
-                e_pos[key(i, j, -1)] = m
+                e_pos[alpha] = m
                 m = self._chev_f[i - 1]
                 for t in range(i + 1, j):
                     m = mat_bracket(self._chev_f[t - 1], m)
-                f_pos[key(i, j, -1)] = m
+                f_pos[alpha] = m
         # e_{eps_i} = [e_i, [e_{i+1}, [... [e_{l-1}, e_l] ...]]]
+        short = {i: eps_root(l, i) for i in range(1, l + 1)}
         for i in range(l, 0, -1):
             m = self._chev_e[l - 1]
             for t in range(l - 1, i - 1, -1):
                 m = mat_bracket(self._chev_e[t - 1], m)
-            e_pos[key(i, 0, 0)] = m
+            e_pos[short[i]] = m
             m = self._chev_f[i - 1]
             for t in range(i + 1, l + 1):
                 m = mat_bracket(self._chev_f[t - 1], m)
-            f_pos[key(i, 0, 0)] = m
+            f_pos[short[i]] = m
         # e_{eps_i + eps_j} = (1/2) [e_{eps_i}, e_{eps_j}], i < j
         half = Fraction(1, 2)
         for i in range(1, l):
             for j in range(i + 1, l + 1):
-                e_pos[key(i, j, 1)] = mat_scale(
-                    half, mat_bracket(e_pos[key(i, 0, 0)], e_pos[key(j, 0, 0)])
+                alpha = eps_root(l, i, j, 1)
+                e_pos[alpha] = mat_scale(
+                    half, mat_bracket(e_pos[short[i]], e_pos[short[j]])
                 )
-                f_pos[key(i, j, 1)] = mat_scale(
-                    half, mat_bracket(f_pos[key(j, 0, 0)], f_pos[key(i, 0, 0)])
+                f_pos[alpha] = mat_scale(
+                    half, mat_bracket(f_pos[short[j]], f_pos[short[i]])
                 )
         self._e_pos = e_pos
         self._f_pos = f_pos
@@ -185,14 +183,14 @@ class LieAlgebra:
         pos = self.rootsys.positive_roots
         basis: list[BasisElement] = []
         for r in pos:
-            basis.append(BasisElement("f", r, self._f_pos[r.eps], -r, len(basis)))
+            basis.append(BasisElement("f", r, self._f_pos[r], -r, len(basis)))
         for i in range(1, self.rank + 1):
             zero = Weight([0] * self.rank)
             basis.append(
                 BasisElement("h", i, self._chev_h[i - 1], zero, len(basis))
             )
         for r in pos:
-            basis.append(BasisElement("e", r, self._e_pos[r.eps], r, len(basis)))
+            basis.append(BasisElement("e", r, self._e_pos[r], r, len(basis)))
         self.basis: tuple[BasisElement, ...] = tuple(basis)
         self.h_start = len(pos)
         self.e_start = len(pos) + self.rank
@@ -321,8 +319,3 @@ class LieAlgebra:
         return tuple(
             tuple(coroot_pairing(aj, ai) for aj in simple) for ai in simple
         )
-
-
-def chevalley_generators(rank: int) -> tuple[list[BasisElement], ...]:
-    """Convenience wrapper: Chevalley generators of a fresh algebra."""
-    return LieAlgebra(rank).chevalley_generators()

@@ -80,11 +80,17 @@ class Root(Weight):
         if not (support and all(abs(c) == 1 for c in support) and len(support) <= 2):
             raise ValueError(f"not a B_l root: {tuple(self.eps)}")
 
-    def is_short(self) -> bool:
-        return inner(self, self) == 1
-
     def __repr__(self) -> str:
         return f"Root({', '.join(str(c) for c in self.eps)})"
+
+
+def eps_root(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
+    """eps_a, or eps_a + sign*eps_b when b is given (1-based), in rank l."""
+    coords = [0] * l
+    coords[a - 1] = 1
+    if b:
+        coords[b - 1] = sign
+    return Root(coords)
 
 
 def _check_rank(a: Weight, b: Weight) -> None:
@@ -133,33 +139,18 @@ class RootSystem:
             raise ValueError("rank must be at least 2 for type B")
         self.rank = rank
         roots: list[Root] = []
-        for i in range(rank):
-            coords = [0] * rank
-            coords[i] = 1
-            roots.append(Root(coords))
-            for j in range(i + 1, rank):
+        for i in range(1, rank + 1):
+            roots.append(eps_root(rank, i))
+            for j in range(i + 1, rank + 1):
                 for sign in (-1, 1):
-                    coords = [0] * rank
-                    coords[i] = 1
-                    coords[j] = sign
-                    roots.append(Root(coords))
+                    roots.append(eps_root(rank, i, j, sign))
         self.positive_roots: tuple[Root, ...] = tuple(
             sorted(roots, key=lambda r: r.eps)
         )
-        simple = []
-        for i in range(rank - 1):
-            coords = [0] * rank
-            coords[i] = 1
-            coords[i + 1] = -1
-            simple.append(Root(coords))
-        last = [0] * rank
-        last[rank - 1] = 1
-        simple.append(Root(last))
-        self.simple_roots: tuple[Root, ...] = tuple(simple)
-        theta = [0] * rank
-        theta[0] = 1
-        theta[1] = 1
-        self.highest_root = Root(theta)
+        self.simple_roots: tuple[Root, ...] = tuple(
+            eps_root(rank, i, i + 1, -1) for i in range(1, rank)
+        ) + (eps_root(rank, rank),)
+        self.highest_root = eps_root(rank, 1, 2, 1)
         # rho-bar = sum of fundamental weights = (l - i + 1/2) eps_i
         self.weyl_vector = Weight(
             Fraction(2 * (rank - i) + 1, 2) for i in range(1, rank + 1)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .liealg import BasisElement, LieAlgebra
-from .rootsys import Root, Weight
+from .rootsys import Root, Weight, eps_root
 
 Rat = Union[int, Fraction]
 Monomial = tuple[tuple[int, int], ...]   # ((basis index, power), ...) increasing
@@ -531,15 +531,6 @@ def falling(p: CartanPolynomial, count: int, start: Rat = 0) -> CartanPolynomial
     return out
 
 
-def _eroot(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
-    """eps_a, or eps_a + sign*eps_b when b is given (1-based)."""
-    coords = [0] * l
-    coords[a - 1] = 1
-    if b:
-        coords[b - 1] = sign
-    return Root(coords)
-
-
 def check_identity(engine: UEA, ident: int, **params) -> bool:
     """Verify one of the twelve rewriting identities after normalization.
 
@@ -571,9 +562,9 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 3:
         k, i = params["k"], params["i"]
         need(2 <= i <= l, "identity 3 needs 2 <= i <= l")
-        a_plus = _eroot(l, 1, i, 1)
-        a_minus = _eroot(l, 1, i, -1)
-        lhs = engine.ad_power(engine.e(_eroot(l, 1)), 2 * k, engine.f(a_plus, k))
+        a_plus = eps_root(l, 1, i, 1)
+        a_minus = eps_root(l, 1, i, -1)
+        lhs = engine.ad_power(engine.e(eps_root(l, 1)), 2 * k, engine.f(a_plus, k))
         rhs = (
             Fraction((-1) ** k) * math.factorial(2 * k) * engine.e(a_minus, k)
         )
@@ -581,16 +572,16 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 4:
         k, j, i = params["k"], params["j"], params["i"]
         need(j > 0 and 2 <= i <= l, "identity 4 needs j > 0, 2 <= i <= l")
-        a_plus = _eroot(l, 1, i, 1)
+        a_plus = eps_root(l, 1, i, 1)
         return engine.ad_power(
-            engine.e(_eroot(l, 1)), 2 * k + j, engine.f(a_plus, k)
+            engine.e(eps_root(l, 1)), 2 * k + j, engine.f(a_plus, k)
         ).is_zero()
     if ident == 5:
         r, k, i = params["r"], params["k"], params["i"]
         need(r > 0 and 2 <= i <= l, "identity 5 needs r > 0, 2 <= i <= l")
-        a_minus = _eroot(l, 1, i, -1)
+        a_minus = eps_root(l, 1, i, -1)
         return red(
-            engine.ad_power(engine.e(_eroot(l, 1)), r, engine.f(a_minus, k))
+            engine.ad_power(engine.e(eps_root(l, 1)), r, engine.f(a_minus, k))
         ).is_zero()
     if ident == 6:
         alpha, k, poly = params["alpha"], params["k"], params["poly"]
@@ -602,11 +593,11 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k <= m, "identity 7 needs 3 <= i <= l, k <= m")
         lhs = engine.ad_power(
-            engine.e(_eroot(l, 1, i, 1)), k, engine.f(_eroot(l, 1, 2, 1), m)
+            engine.e(eps_root(l, 1, i, 1)), k, engine.f(eps_root(l, 1, 2, 1), m)
         )
         coeff = Fraction(math.factorial(m), math.factorial(m - k))
         rhs = coeff * engine.multiply(
-            engine.f(_eroot(l, 1, 2, 1), m - k), engine.f(_eroot(l, 2, i, -1), k)
+            engine.f(eps_root(l, 1, 2, 1), m - k), engine.f(eps_root(l, 2, i, -1), k)
         )
         return lhs == rhs
     if ident == 8:
@@ -614,7 +605,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         need(3 <= i <= l and k > 0, "identity 8 needs 3 <= i <= l, k > 0")
         return red(
             engine.ad_power(
-                engine.e(_eroot(l, 1, i, 1)), k, engine.f(_eroot(l, 1, 2, -1), m)
+                engine.e(eps_root(l, 1, i, 1)), k, engine.f(eps_root(l, 1, 2, -1), m)
             )
         ).is_zero()
     if ident == 9:
@@ -622,7 +613,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         need(3 <= i <= l and k > 0, "identity 9 needs 3 <= i <= l, k > 0")
         return red(
             engine.ad_power(
-                engine.e(_eroot(l, 1, 2, 1)), k, engine.f(_eroot(l, 2, i, -1), m)
+                engine.e(eps_root(l, 1, 2, 1)), k, engine.f(eps_root(l, 2, i, -1), m)
             )
         ).is_zero()
     if ident == 10:
@@ -639,16 +630,16 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         i, k = params["i"], params["k"]
         need(3 <= i <= l, "identity 11 needs 3 <= i <= l")
         lhs = engine.ad_power(
-            engine.e(_eroot(l, 1, i, -1)), k, engine.f(_eroot(l, 2, i, -1), k)
+            engine.e(eps_root(l, 1, i, -1)), k, engine.f(eps_root(l, 2, i, -1), k)
         )
-        rhs = math.factorial(k) * engine.e(_eroot(l, 1, 2, -1), k)
+        rhs = math.factorial(k) * engine.e(eps_root(l, 1, 2, -1), k)
         return lhs == rhs
     if ident == 12:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k > 0, "identity 12 needs 3 <= i <= l, k > 0")
         return red(
             engine.ad_power(
-                engine.e(_eroot(l, 1, i, -1)), k, engine.f(_eroot(l, 1, 2, -1), m)
+                engine.e(eps_root(l, 1, i, -1)), k, engine.f(eps_root(l, 1, 2, -1), m)
             )
         ).is_zero()
     raise ValueError(f"unknown identity {ident}")

@@ -16,16 +16,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .rootsys import Root, Weight
+from .rootsys import Root, Weight, eps_root
 from .uea import (
     UEA,
     CartanPolynomial,
     Monomial,
     UEAElement,
+    _compositions,
     falling,
     poly_echelon,
     poly_in_span,
-    spans_equal,
 )
 
 DEFAULT_DIM_CEILING = 2000
@@ -38,18 +38,10 @@ class OracleCeilingExceeded(RuntimeError):
 def singular_image(engine: UEA, n: int) -> UEAElement:
     """(-1/4 e_{eps_1}^2 + sum_j e_{eps_1-eps_j} e_{eps_1+eps_j})^n in U(g)."""
     l = engine.lie.rank
-
-    def eroot(a: int, b: int = 0, sign: int = 0) -> Root:
-        coords = [0] * l
-        coords[a - 1] = 1
-        if b:
-            coords[b - 1] = sign
-        return Root(coords)
-
-    base = Fraction(-1, 4) * engine.e(eroot(1), 2)
+    base = Fraction(-1, 4) * engine.e(eps_root(l, 1), 2)
     for j in range(2, l + 1):
         base = base + engine.multiply(
-            engine.e(eroot(1, j, -1)), engine.e(eroot(1, j, 1))
+            engine.e(eps_root(l, 1, j, -1)), engine.e(eps_root(l, 1, j, 1))
         )
     return engine.power(base, n)
 
@@ -204,10 +196,10 @@ def p0_basis(
 # ---------------------------------------------------------------------------
 
 
-def _hroot_poly(lie: LieAlgebra, coords: list[int]) -> CartanPolynomial:
+def _hroot_poly(lie: LieAlgebra, alpha: Root) -> CartanPolynomial:
     engine_rank = lie.rank
     poly = CartanPolynomial(engine_rank, {})
-    for i, c in lie.h_of_root(Root(coords)).items():
+    for i, c in lie.h_of_root(alpha).items():
         poly = poly + c * CartanPolynomial.variable(engine_rank, i)
     return poly
 
@@ -225,10 +217,7 @@ def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     if i == l:
         return falling(CartanPolynomial.variable(l, l), 2 * n)
     head = falling(CartanPolynomial.variable(l, i), n)
-    coords = [0] * l
-    coords[i - 1] = 1
-    coords[i] = 1
-    hsum = _hroot_poly(lie, coords)
+    hsum = _hroot_poly(lie, eps_root(l, i, i + 1, 1))
     offset = Fraction(2 * (l - i) - 1, 2)   # l - i - 1/2
     tail = falling(hsum + offset, n)
     return head * tail
@@ -243,15 +232,10 @@ def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
     starting at shift k_2 + ... + k_{j-1}.
     """
     l = lie.rank
-    h_eps1 = _hroot_poly(lie, [1] + [0] * (l - 1))
-    h_diff = []
-    for j in range(2, l + 1):
-        coords = [0] * l
-        coords[0] = 1
-        coords[j - 1] = -1
-        h_diff.append(_hroot_poly(lie, coords))
+    h_eps1 = _hroot_poly(lie, eps_root(l, 1))
+    h_diff = [_hroot_poly(lie, eps_root(l, 1, j, -1)) for j in range(2, l + 1)]
     total = CartanPolynomial(l, {})
-    for ks in _compositions_of(n, l):
+    for ks in _compositions(n, l):
         k1 = ks[0]
         coeff = Fraction(1, math.factorial(k1) * 4**k1)
         term = falling(h_eps1, 2 * k1, start=2 * (n - k1))
@@ -262,15 +246,6 @@ def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
                 term = term * falling(h_diff[j - 2], kj, start=shift)
         total = total + coeff * term
     return total
-
-
-def _compositions_of(n: int, m: int):
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions_of(n - first, m - 1):
-            yield (first,) + rest
 
 
 def explicit_polys(lie: LieAlgebra, n: int) -> list[CartanPolynomial]:
@@ -286,11 +261,3 @@ def verify_membership(
         if not poly_in_span(p, oracle):
             return False
     return True
-
-
-def oracle_equals_explicit_span(
-    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
-) -> bool:
-    """Does the oracle span coincide with span(p_1..p_l)?  (True for n = 1.)"""
-    oracle = p0_basis(engine, n, ceiling)
-    return spans_equal(oracle, explicit_polys(engine.lie, n))

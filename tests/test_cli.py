@@ -137,6 +137,22 @@ def test_guard_env(capsys, monkeypatch):
     assert code == 2
 
 
+# check-singular's guard bounds the words of one vacuum-module apply result:
+# at (2, 2) some result has more than one word
+def test_check_singular_guard_exits_2(capsys):
+    code, _, err = run(
+        capsys, "check-singular", "--rank", "2", "--n", "2", "--guard", "1"
+    )
+    assert code == 2
+    assert "guard" in err
+
+
+def test_check_singular_guard_env(capsys, monkeypatch):
+    monkeypatch.setenv("BLVOA_GUARD", "1")
+    code, _, _ = run(capsys, "check-singular", "--rank", "2", "--n", "2")
+    assert code == 2
+
+
 def test_oracle_ceiling_exits_2(capsys):
     code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--oracle-ceiling", "5")
     assert code == 2
@@ -145,9 +161,7 @@ def test_oracle_ceiling_exits_2(capsys):
 def test_inconsistency_exits_3(capsys, monkeypatch):
     import blvoa.cli as cli_mod
 
-    monkeypatch.setattr(
-        cli_mod, "oracle_equals_explicit_span", lambda *a, **k: False
-    )
+    monkeypatch.setattr(cli_mod, "spans_equal", lambda *a, **k: False)
     code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--compare")
     assert code == 3
     assert "inconsistency" in err
@@ -168,3 +182,30 @@ def test_mmax_override(capsys):
     )
     assert code == 0
     assert "m <= 6" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--rank", "2", "--guard", "5"),
+        ("classify", "--rank", "2", "--oracle-ceiling", "5"),
+        ("classify", "--rank", "2", "--mmax", "3"),
+        ("check-singular", "--rank", "2", "--oracle-ceiling", "5"),
+        ("check-singular", "--rank", "2", "--mmax", "3"),
+        ("p0", "--rank", "2", "--mmax", "2"),
+        ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
+         "--guard", "5"),
+        ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
+         "--oracle-ceiling", "5"),
+        ("dim", "--rank", "2", "--weight", "2,0", "--guard", "5"),
+        ("dim", "--rank", "2", "--weight", "2,0", "--oracle-ceiling", "5"),
+        ("dim", "--rank", "2", "--weight", "2,0", "--mmax", "3"),
+        ("identities", "--rank", "2", "--oracle-ceiling", "5"),
+        ("identities", "--rank", "2", "--mmax", "3"),
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err

@@ -11,6 +11,7 @@ from blvoa.rootsys import (
     Weight,
     build_root_system,
     coroot_pairing,
+    eps_root,
     inner,
     weight_from_fundamental,
 )
@@ -182,3 +183,10 @@ def test_root_validation():
         Root([1, 1, 1])
     with pytest.raises(ValueError):
         Root([0, 0])
+
+
+def test_eps_root():
+    assert eps_root(3, 2) == Root([0, 1, 0])
+    assert eps_root(3, 1, 3, -1) == Root([1, 0, -1])
+    assert eps_root(3, 2, 3, 1) == Root([0, 1, 1])
+    assert isinstance(eps_root(2, 1), Root)

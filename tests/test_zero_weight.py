@@ -15,7 +15,6 @@ from blvoa.zero_weight import (
     explicit_polys,
     explicit_q,
     generate_module,
-    oracle_equals_explicit_span,
     p0_basis,
     singular_image,
     verify_membership,
@@ -127,7 +126,7 @@ def test_membership(l, n):
 @pytest.mark.parametrize("l", [2, 3])
 def test_span_equality_at_n1(l):
     eng = get_engine(l)
-    assert oracle_equals_explicit_span(eng, 1)
+    assert spans_equal(p0_basis(eng, 1), explicit_polys(eng.lie, 1))
     # both inclusions, spelled out
     oracle = p0_basis(eng, 1)
     explicit = explicit_polys(eng.lie, 1)
