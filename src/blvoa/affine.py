@@ -359,7 +359,7 @@ class AffineRealRoot:
         if self.m == 0 and next(c for c in self.alpha.eps if c) < 0:
             raise ValueError("mode 0 requires a positive finite root")
 
-    def coroot_vector(self, rank: int) -> tuple[Fraction, ...]:
+    def coroot_vector(self) -> tuple[Fraction, ...]:
         """(2 alpha/(alpha,alpha), 2m/(alpha,alpha)) in h oplus Qc coordinates."""
         norm = inner(self.alpha, self.alpha)
         scale = Fraction(2) / norm
@@ -477,7 +477,7 @@ def is_admissible(
             if p <= 0:
                 violations.append((r, p))
             integral.append(r)
-    vectors = [r.coroot_vector(l) for r in integral]
+    vectors = [r.coroot_vector() for r in integral]
     span_rank = _rank_of(vectors) if vectors else 0
     vec_set = {v: r for v, r in zip(vectors, integral)}
     simple: list[AffineRealRoot] = []

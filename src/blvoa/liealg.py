@@ -23,54 +23,48 @@ from .rootsys import (
     eps_root,
 )
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+# {(row, col): entry}, 0-based, holding only the nonzero entries, so that
+# == compares matrices and an empty dict is the zero matrix.
+Matrix = dict[tuple[int, int], Fraction]
 
 
-def _zero(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _freeze(m: list[list[Fraction]]) -> Matrix:
-    return tuple(tuple(row) for row in m)
-
-
-def _unit(n: int, i: int, j: int, c: Fraction = Fraction(1)) -> Matrix:
-    """c * E_{ij}, 1-based indices."""
-    m = _zero(n)
-    m[i - 1][j - 1] = c
-    return _freeze(m)
+def _unit(i: int, j: int) -> Matrix:
+    """E_{ij}, 1-based indices."""
+    return {(i - 1, j - 1): Fraction(1)}
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    out = dict(a)
+    for key, y in b.items():
+        v = out.get(key, 0) - y
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+    return out
 
 
 def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    return {key: c * x for key, x in a.items()} if c else {}
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols)
-        for row in a
-    )
+    out: Matrix = {}
+    for (i, j), x in a.items():
+        for (jj, k), y in b.items():
+            if j == jj:
+                out[i, k] = out.get((i, k), 0) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def trace_prod(a: Matrix, b: Matrix) -> Fraction:
     """tr(a b) without forming the product."""
-    n = len(a)
     return sum(
-        (a[i][j] * b[j][i] for i in range(n) for j in range(n)), Fraction(0)
+        (x * b[j, i] for (i, j), x in a.items() if (j, i) in b), Fraction(0)
     )
 
 
@@ -125,14 +119,14 @@ class LieAlgebra:
         self._chev_f: list[Matrix] = []
         self._chev_h: list[Matrix] = []
         for i in range(1, l):
-            e = mat_sub(_unit(n, i, i + 1), _unit(n, n - i, n + 1 - i))
-            f = mat_sub(_unit(n, i + 1, i), _unit(n, n + 1 - i, n - i))
+            e = mat_sub(_unit(i, i + 1), _unit(n - i, n + 1 - i))
+            f = mat_sub(_unit(i + 1, i), _unit(n + 1 - i, n - i))
             self._chev_e.append(e)
             self._chev_f.append(f)
             self._chev_h.append(mat_bracket(e, f))
-        e = mat_sub(_unit(n, l, l + 1), _unit(n, l + 1, l + 2))
+        e = mat_sub(_unit(l, l + 1), _unit(l + 1, l + 2))
         f = mat_scale(
-            Fraction(2), mat_sub(_unit(n, l + 1, l), _unit(n, l + 2, l + 1))
+            Fraction(2), mat_sub(_unit(l + 1, l), _unit(l + 2, l + 1))
         )
         self._chev_e.append(e)
         self._chev_f.append(f)
@@ -212,12 +206,6 @@ class LieAlgebra:
     def h(self, i: int) -> BasisElement:
         return self._by_key[("h", i)]
 
-    def root_vector(self, alpha: Root, sign: str) -> BasisElement:
-        """e_alpha for sign="raising", f_alpha for sign="lowering"."""
-        if ("e", alpha.eps) not in self._by_key:
-            raise ValueError(f"{alpha} is not a positive root")
-        return self.e(alpha) if sign == "raising" else self.f(alpha)
-
     def chevalley_generators(self) -> tuple[list[BasisElement], ...]:
         """(e_1..e_l, f_1..f_l, h_1..h_l) as basis elements."""
         simple = self.rootsys.simple_roots
@@ -241,9 +229,9 @@ class LieAlgebra:
     def expand(self, m: Matrix) -> dict[int, Fraction]:
         """Expand a matrix of the algebra over the fixed basis."""
         out: dict[int, Fraction] = {}
-        work = [list(row) for row in m]
+        work = m
         # Cartan part from the diagonal: a_j = sum of h-coefficients.
-        a = [work[i][i] for i in range(self.rank)]
+        a = [work.get((i, i), Fraction(0)) for i in range(self.rank)]
         c = [Fraction(0)] * self.rank
         run = Fraction(0)
         for j in range(self.rank - 1):
@@ -254,33 +242,20 @@ class LieAlgebra:
             if cj:
                 out[self.h_start + j] = cj
                 hb = self.basis[self.h_start + j].matrix
-                for r in range(self.n):
-                    for s in range(self.n):
-                        if hb[r][s]:
-                            work[r][s] -= cj * hb[r][s]
-        # Root-vector part: each root owns disjoint matrix cells.
+                work = mat_sub(work, mat_scale(cj, hb))
+        # Root-vector part: each root owns disjoint matrix cells, so any
+        # cell of a root vector marks its coefficient.
         for b in self.basis:
             if b.kind == "h":
                 continue
-            cell = self._marker_cell(b)
-            r, s = cell
-            if work[r][s]:
-                coeff = work[r][s] / b.matrix[r][s]
+            cell = next(iter(b.matrix))
+            if cell in work:
+                coeff = work[cell] / b.matrix[cell]
                 out[b.index] = coeff
-                for rr in range(self.n):
-                    for ss in range(self.n):
-                        if b.matrix[rr][ss]:
-                            work[rr][ss] -= coeff * b.matrix[rr][ss]
-        if any(x != 0 for row in work for x in row):
+                work = mat_sub(work, mat_scale(coeff, b.matrix))
+        if work:
             raise ArithmeticError("matrix does not lie in the algebra span")
         return out
-
-    def _marker_cell(self, b: BasisElement) -> tuple[int, int]:
-        for r in range(self.n):
-            for s in range(self.n):
-                if b.matrix[r][s]:
-                    return (r, s)
-        raise AssertionError("zero basis matrix")
 
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[x_i, x_j] expanded in the basis, by index."""

@@ -546,6 +546,11 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         if not cond:
             raise ValueError(msg)
 
+    def vanishes(x: Root, k: int, y: Root, m: int, mod_nplus: bool = True) -> bool:
+        """ad(e_x)^k f_y^m == 0, modulo U(g)n_+ unless mod_nplus is False."""
+        v = engine.ad_power(engine.e(x), k, engine.f(y, m))
+        return (red(v) if mod_nplus else v).is_zero()
+
     if ident == 1:
         alpha, m = params["alpha"], params["m"]
         lhs = red(engine.ad_power(engine.e(alpha), m, engine.f(alpha, m)))
@@ -556,9 +561,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 2:
         alpha, k, m = params["alpha"], params["k"], params["m"]
         need(k > m, "identity 2 needs k > m")
-        return red(
-            engine.ad_power(engine.e(alpha), k, engine.f(alpha, m))
-        ).is_zero()
+        return vanishes(alpha, k, alpha, m)
     if ident == 3:
         k, i = params["k"], params["i"]
         need(2 <= i <= l, "identity 3 needs 2 <= i <= l")
@@ -572,17 +575,13 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 4:
         k, j, i = params["k"], params["j"], params["i"]
         need(j > 0 and 2 <= i <= l, "identity 4 needs j > 0, 2 <= i <= l")
-        a_plus = eps_root(l, 1, i, 1)
-        return engine.ad_power(
-            engine.e(eps_root(l, 1)), 2 * k + j, engine.f(a_plus, k)
-        ).is_zero()
+        return vanishes(
+            eps_root(l, 1), 2 * k + j, eps_root(l, 1, i, 1), k, mod_nplus=False
+        )
     if ident == 5:
         r, k, i = params["r"], params["k"], params["i"]
         need(r > 0 and 2 <= i <= l, "identity 5 needs r > 0, 2 <= i <= l")
-        a_minus = eps_root(l, 1, i, -1)
-        return red(
-            engine.ad_power(engine.e(eps_root(l, 1)), r, engine.f(a_minus, k))
-        ).is_zero()
+        return vanishes(eps_root(l, 1), r, eps_root(l, 1, i, -1), k)
     if ident == 6:
         alpha, k, poly = params["alpha"], params["k"], params["poly"]
         shifted = poly.shift([-k * v for v in alpha.fundamental()])
@@ -603,19 +602,11 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 8:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k > 0, "identity 8 needs 3 <= i <= l, k > 0")
-        return red(
-            engine.ad_power(
-                engine.e(eps_root(l, 1, i, 1)), k, engine.f(eps_root(l, 1, 2, -1), m)
-            )
-        ).is_zero()
+        return vanishes(eps_root(l, 1, i, 1), k, eps_root(l, 1, 2, -1), m)
     if ident == 9:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k > 0, "identity 9 needs 3 <= i <= l, k > 0")
-        return red(
-            engine.ad_power(
-                engine.e(eps_root(l, 1, 2, 1)), k, engine.f(eps_root(l, 2, i, -1), m)
-            )
-        ).is_zero()
+        return vanishes(eps_root(l, 1, 2, 1), k, eps_root(l, 2, i, -1), m)
     if ident == 10:
         alpha, k, m = params["alpha"], params["k"], params["m"]
         need(k <= m, "identity 10 needs k <= m")
@@ -637,11 +628,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
     if ident == 12:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k > 0, "identity 12 needs 3 <= i <= l, k > 0")
-        return red(
-            engine.ad_power(
-                engine.e(eps_root(l, 1, i, -1)), k, engine.f(eps_root(l, 1, 2, -1), m)
-            )
-        ).is_zero()
+        return vanishes(eps_root(l, 1, i, -1), k, eps_root(l, 1, 2, -1), m)
     raise ValueError(f"unknown identity {ident}")
 
 

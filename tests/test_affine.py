@@ -236,9 +236,9 @@ def test_admissibility_rejects_too_negative_level():
 
 def test_affine_real_root_coroot_vector():
     r = AffineRealRoot(Weight([-1, 0]), 1)
-    assert r.coroot_vector(2) == (Fraction(-2), Fraction(0), Fraction(2))
+    assert r.coroot_vector() == (Fraction(-2), Fraction(0), Fraction(2))
     long_r = AffineRealRoot(Weight([1, -1]), 0)
-    assert long_r.coroot_vector(2) == (Fraction(1), Fraction(-1), Fraction(0))
+    assert long_r.coroot_vector() == (Fraction(1), Fraction(-1), Fraction(0))
 
 
 def test_affine_real_root_validation():
