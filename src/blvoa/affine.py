@@ -22,7 +22,16 @@ from typing import Optional, Union
 
 from .liealg import LieAlgebra
 from .rootsys import Root, RootSystem, Weight, eps_root, inner
-from .uea import DEFAULT_TERM_GUARD, MIXED, UEA, TermGuardExceeded, UEAElement
+from .uea import (
+    DEFAULT_TERM_GUARD,
+    MIXED,
+    UEA,
+    Echelon,
+    Sparse,
+    TermGuardExceeded,
+    UEAElement,
+    add_into,
+)
 
 Rat = Union[int, Fraction]
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
@@ -51,50 +60,24 @@ def affine_bracket(
     return loop, central
 
 
-class VermaVector:
+class VermaVector(Sparse):
     """Element of N(k, 0): rational combination of creation words times 1."""
 
-    __slots__ = ("module", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: "VacuumModule", terms: dict[CWord, Fraction]):
         self.module = module
-        self.terms = {w: c for w, c in terms.items() if c != 0}
+        super().__init__(terms)
+
+    def _new(self, terms: dict[CWord, Fraction]) -> "VermaVector":
+        return VermaVector(self.module, terms)
+
+    def _space(self) -> Fraction:
+        return self.module.level
 
     @property
     def level(self) -> Fraction:
         return self.module.level
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return VermaVector(self.module, out)
-
-    def __sub__(self, other: "VermaVector") -> "VermaVector":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
-        return VermaVector(self.module, out)
-
-    def __rmul__(self, scalar: Rat) -> "VermaVector":
-        s = Fraction(scalar)
-        return VermaVector(self.module, {w: s * c for w, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, VermaVector)
-            and self.terms == other.terms
-            and self.module.level == other.module.level
-        )
-
-    def __hash__(self):
-        return hash((self.module.level, frozenset(self.terms.items())))
 
     def finite_weight(self):
         """Common finite ad-h weight of all words, or "mixed"."""
@@ -166,11 +149,7 @@ class VacuumModule:
         budget = self.term_guard
         for word, c in v.terms.items():
             for w2, c2 in self._apply_letter(idx, mode, word).items():
-                val = out.get(w2, Fraction(0)) + c * c2
-                if val:
-                    out[w2] = val
-                elif w2 in out:
-                    del out[w2]
+                add_into(out, w2, c * c2)
                 if len(out) > budget:
                     raise TermGuardExceeded("vacuum-module term guard exceeded")
         return VermaVector(self, out)
@@ -193,25 +172,17 @@ class VacuumModule:
             return result
         rest = word[1:]
         out: dict[CWord, Fraction] = {}
-
-        def accumulate(w: CWord, c: Fraction) -> None:
-            v = out.get(w, Fraction(0)) + c
-            if v:
-                out[w] = v
-            elif w in out:
-                del out[w]
-
         # head * (x(mode) . rest)
         for w2, c2 in self._apply_letter(idx, mode, rest).items():
             for w3, c3 in self._apply_letter(i0, m0, w2).items():
-                accumulate(w3, c2 * c3)
+                add_into(out, w3, c2 * c3)
         # [x(mode), head] . rest
         loop, central = affine_bracket(self.lie, (idx, mode), (i0, m0))
         for (k_idx, k_mode), c in loop.items():
             for w2, c2 in self._apply_letter(k_idx, k_mode, rest).items():
-                accumulate(w2, c * c2)
+                add_into(out, w2, c * c2)
         if central:
-            accumulate(rest, central * self.level)
+            add_into(out, rest, central * self.level)
         self._apply_cache[key] = out
         return out
 
@@ -248,7 +219,7 @@ def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Fraction]:
         minus = lie.e(eps_root(l, 1, j, -1)).index
         plus = lie.e(eps_root(l, 1, j, 1)).index
         pair = tuple(sorted([(-1, minus), (-1, plus)]))
-        out[pair] = out.get(pair, Fraction(0)) + 1
+        add_into(out, pair, Fraction(1))
     return out
 
 
@@ -423,28 +394,6 @@ class AdmissibilityResult:
         return [r.describe(rs) for r in self.simple_coroots]
 
 
-def _rank_of(vectors: list[tuple[Fraction, ...]]) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def is_admissible(
     lam: AffineWeight, rs: RootSystem, m_max: Optional[int] = None
 ) -> AdmissibilityResult:
@@ -478,26 +427,26 @@ def is_admissible(
                 violations.append((r, p))
             integral.append(r)
     vectors = [r.coroot_vector() for r in integral]
-    span_rank = _rank_of(vectors) if vectors else 0
+    span = Echelon()
+    for v in vectors:
+        span.insert(dict(enumerate(v)))
     vec_set = {v: r for v, r in zip(vectors, integral)}
-    simple: list[AffineRealRoot] = []
-    for v, r in vec_set.items():
-        decomposable = False
-        for w in vec_set:
-            diff = tuple(a - b for a, b in zip(v, w))
-            if diff != ((Fraction(0),) * (l + 1)) and diff in vec_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(r)
+    simple = [
+        r
+        for v, r in vec_set.items()
+        if not any(
+            w != v and tuple(a - b for a, b in zip(v, w)) in vec_set
+            for w in vec_set
+        )
+    ]
     simple.sort(key=lambda r: (r.m, r.alpha.eps))
-    ok = not violations and span_rank == l + 1
+    ok = not violations and span.dim == l + 1
     return AdmissibilityResult(
         ok=ok,
         weight=lam,
         m_max=m_max,
         integral_count=len(integral),
-        span_rank=span_rank,
+        span_rank=span.dim,
         simple_coroots=simple,
         violations=violations,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .liealg import BasisElement, LieAlgebra
 from .rootsys import Root, Weight, eps_root
@@ -34,14 +34,30 @@ class TermGuardExceeded(RuntimeError):
     """Raised when a normalization exceeds the configured term budget."""
 
 
-class UEAElement:
-    """A finite map from PBW monomials to nonzero rational coefficients."""
+def add_into(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    v = out.get(key, 0) + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
 
-    __slots__ = ("engine", "terms")
 
-    def __init__(self, engine: "UEA", terms: dict[Monomial, Fraction]):
-        self.engine = engine
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+class Sparse:
+    """A finite map from keys to nonzero rationals, with vector arithmetic.
+
+    A subclass fixes the space its elements live in: ``_new`` builds an
+    element of the same space and ``_space`` is what, besides the terms,
+    equality compares.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {k: c for k, c in terms.items() if c != 0}
+
+    def _space(self):
+        return None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -49,36 +65,101 @@ class UEAElement:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def __add__(self, other: "UEAElement") -> "UEAElement":
+    def __add__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return UEAElement(self.engine, out)
+        for k, c in other.terms.items():
+            add_into(out, k, c)
+        return self._new(out)
 
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
+    def __sub__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return UEAElement(self.engine, out)
+        for k, c in other.terms.items():
+            add_into(out, k, -c)
+        return self._new(out)
 
-    def __neg__(self) -> "UEAElement":
-        return UEAElement(self.engine, {m: -c for m, c in self.terms.items()})
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar: Rat):
+        s = Fraction(scalar)
+        return self._new({k: s * c for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.terms.items())))
+
+
+class Echelon:
+    """Reduced row echelon basis of a span of sparse vectors {key: coeff}.
+
+    A row's pivot is its largest key under ``order``, with coefficient 1,
+    and no row holds another row's pivot; so reducing a vector subtracts
+    each pivot row it meets once.  ``rows()`` is sorted by ``order``.
+    """
+
+    def __init__(self, order: Optional[Callable] = None):
+        self.order = order
+        self.pivots: dict = {}
+
+    def reduce(self, terms: dict) -> dict:
+        """What is left of terms after eliminating every pivot."""
+        work = {k: c for k, c in terms.items() if c != 0}
+        for p, row in self.pivots.items():
+            c = work.get(p)
+            if c:
+                for k, v in row.items():
+                    add_into(work, k, -c * v)
+        return work
+
+    def insert(self, terms: dict) -> Optional[dict]:
+        """Reduce and, if independent, add as a new row and return it (the
+        stored dict, which later inserts reduce in place)."""
+        work = self.reduce(terms)
+        if not work:
+            return None
+        lead = max(work, key=self.order)
+        inv = 1 / Fraction(work[lead])
+        row = {k: inv * c for k, c in work.items()}
+        for other in self.pivots.values():
+            c = other.get(lead)
+            if c:
+                for k, v in row.items():
+                    add_into(other, k, -c * v)
+        self.pivots[lead] = row
+        return row
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def rows(self) -> list[dict]:
+        return [self.pivots[p] for p in sorted(self.pivots, key=self.order)]
+
+
+class UEAElement(Sparse):
+    """A finite map from PBW monomials to nonzero rational coefficients."""
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: "UEA", terms: dict[Monomial, Fraction]):
+        self.engine = engine
+        super().__init__(terms)
+
+    def _new(self, terms: dict[Monomial, Fraction]) -> "UEAElement":
+        return UEAElement(self.engine, terms)
 
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             return self.engine.multiply(self, other)
-        return UEAElement(
-            self.engine, {m: Fraction(other) * c for m, c in self.terms.items()}
-        )
-
-    def __rmul__(self, scalar: Rat) -> "UEAElement":
-        return self.__mul__(scalar)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UEAElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return super().__mul__(other)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -143,13 +224,13 @@ class UEA:
 
     def from_cartan(self, poly: "CartanPolynomial") -> UEAElement:
         """The image of a polynomial in h_1..h_l inside U(g)."""
-        out: dict[Monomial, Fraction] = {}
-        for exps, c in poly.coeffs.items():
-            mono = tuple(
-                (self.h_start + i, p) for i, p in enumerate(exps) if p > 0
-            )
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return UEAElement(self, out)
+        return UEAElement(
+            self,
+            {
+                tuple((self.h_start + i, p) for i, p in enumerate(exps) if p > 0): c
+                for exps, c in poly.terms.items()
+            },
+        )
 
     # -- multiplication ------------------------------------------------------
 
@@ -159,11 +240,7 @@ class UEA:
             for m2, c2 in b.terms.items():
                 c12 = c1 * c2
                 for m, c in self._mono_mul(m1, m2).items():
-                    v = out.get(m, Fraction(0)) + c12 * c
-                    if v:
-                        out[m] = v
-                    elif m in out:
-                        del out[m]
+                    add_into(out, m, c12 * c)
         return UEAElement(self, out)
 
     def power(self, a: UEAElement, n: int) -> UEAElement:
@@ -207,12 +284,7 @@ class UEA:
                     pos = t
                     break
             if pos < 0:
-                mono = _compress(w)
-                v = out.get(mono, Fraction(0)) + c
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
+                add_into(out, _compress(w), c)
                 continue
             a, b = w[pos], w[pos + 1]
             stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
@@ -303,17 +375,6 @@ class UEA:
             exps = [0] * l
             for idx, p in mono:
                 exps[idx - self.h_start] = p
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-        return CartanPolynomial(l, coeffs)
-
-    def h_alpha_poly(self, alpha: Root) -> "CartanPolynomial":
-        """h_alpha = [e_alpha, f_alpha] as a linear polynomial in h_1..h_l."""
-        l = self.lie.rank
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for i, c in self.lie.h_of_root(alpha).items():
-            exps = [0] * l
-            exps[i - 1] = 1
             coeffs[tuple(exps)] = c
         return CartanPolynomial(l, coeffs)
 
@@ -343,7 +404,7 @@ def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-class CartanPolynomial:
+class CartanPolynomial(Sparse):
     """Polynomial in the commuting variables h_1..h_l over the rationals.
 
     Stored as a map from exponent tuples to coefficients, always expanded.
@@ -351,13 +412,17 @@ class CartanPolynomial:
     h_i |-> <mu, alpha_i^vee>.
     """
 
-    __slots__ = ("rank", "coeffs")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, coeffs: dict[tuple[int, ...], Rat]):
         self.rank = rank
-        self.coeffs = {
-            e: Fraction(c) for e, c in coeffs.items() if Fraction(c) != 0
-        }
+        super().__init__({e: Fraction(c) for e, c in coeffs.items()})
+
+    def _new(self, terms: dict[tuple[int, ...], Fraction]) -> "CartanPolynomial":
+        return CartanPolynomial(self.rank, terms)
+
+    def _space(self) -> int:
+        return self.rank
 
     @classmethod
     def constant(cls, rank: int, c: Rat) -> "CartanPolynomial":
@@ -370,56 +435,25 @@ class CartanPolynomial:
         exps[i - 1] = 1
         return cls(rank, {tuple(exps): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other) -> "CartanPolynomial":
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return CartanPolynomial(self.rank, out)
+        return super().__add__(self._coerce(other))
 
-    def __radd__(self, other) -> "CartanPolynomial":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other) -> "CartanPolynomial":
-        return self.__add__(self._coerce(other).__neg__())
+        return super().__sub__(self._coerce(other))
 
     def __rsub__(self, other) -> "CartanPolynomial":
         return self._coerce(other).__sub__(self)
 
-    def __neg__(self) -> "CartanPolynomial":
-        return CartanPolynomial(self.rank, {e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other) -> "CartanPolynomial":
         if isinstance(other, (int, Fraction)):
-            return CartanPolynomial(
-                self.rank, {e: Fraction(other) * c for e, c in self.coeffs.items()}
-            )
+            return super().__mul__(other)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                add_into(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return CartanPolynomial(self.rank, out)
-
-    def __rmul__(self, other) -> "CartanPolynomial":
-        return self.__mul__(other)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CartanPolynomial)
-            and self.rank == other.rank
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.coeffs.items())))
 
     def _coerce(self, other) -> "CartanPolynomial":
         if isinstance(other, CartanPolynomial):
@@ -430,7 +464,7 @@ class CartanPolynomial:
         """Value at h_i = fundamental[i-1]."""
         vals = [Fraction(v) for v in fundamental]
         total = Fraction(0)
-        for exps, c in self.coeffs.items():
+        for exps, c in self.terms.items():
             term = c
             for v, p in zip(vals, exps):
                 term *= v**p
@@ -444,7 +478,7 @@ class CartanPolynomial:
         """Substitute h_i |-> h_i + deltas[i-1]."""
         ds = [Fraction(d) for d in deltas]
         out = CartanPolynomial(self.rank, {})
-        for exps, c in self.coeffs.items():
+        for exps, c in self.terms.items():
             term = CartanPolynomial.constant(self.rank, c)
             for i, p in enumerate(exps):
                 base = CartanPolynomial.variable(self.rank, i + 1) + ds[i]
@@ -454,11 +488,11 @@ class CartanPolynomial:
         return out
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for exps in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
-            c = self.coeffs[exps]
+        for exps in sorted(self.terms, key=grlex, reverse=True):
+            c = self.terms[exps]
             vs = "*".join(
                 f"h{i + 1}" + (f"^{p}" if p > 1 else "")
                 for i, p in enumerate(exps)
@@ -468,8 +502,21 @@ class CartanPolynomial:
         return " + ".join(bits)
 
 
-def _grlex_lead(p: CartanPolynomial) -> tuple[int, tuple[int, ...]]:
-    return max((sum(e), e) for e in p.coeffs)
+def grlex(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded lexicographic sort key of an exponent tuple."""
+    return (sum(exps), exps)
+
+
+def h_alpha_poly(lie: LieAlgebra, alpha: Root) -> CartanPolynomial:
+    """h_alpha = [e_alpha, f_alpha] as a linear polynomial in h_1..h_l."""
+    l = lie.rank
+    return CartanPolynomial(
+        l,
+        {
+            tuple(int(j == i - 1) for j in range(l)): c
+            for i, c in lie.h_of_root(alpha).items()
+        },
+    )
 
 
 def poly_echelon(polys: Iterable[CartanPolynomial]) -> list[CartanPolynomial]:
@@ -478,37 +525,20 @@ def poly_echelon(polys: Iterable[CartanPolynomial]) -> list[CartanPolynomial]:
     Deterministic: output sorted by leading monomial, leading coefficient 1,
     each pivot eliminated from all other rows.
     """
-    rows: list[CartanPolynomial] = []
+    span = Echelon(order=grlex)
+    rank = 0
     for p in polys:
-        for row in rows:
-            lead = _grlex_lead(row)[1]
-            c = p.coeffs.get(lead)
-            if c:
-                p = p - c * row
-        if p.is_zero():
-            continue
-        p = (1 / _poly_lead_coeff(p)) * p
-        lead = _grlex_lead(p)[1]
-        rows = [
-            (r - r.coeffs.get(lead, Fraction(0)) * p) if lead in r.coeffs else r
-            for r in rows
-        ]
-        rows.append(p)
-    rows.sort(key=_grlex_lead)
-    return rows
+        rank = p.rank
+        span.insert(p.terms)
+    return [CartanPolynomial(rank, row) for row in span.rows()]
 
 
-def _poly_lead_coeff(p: CartanPolynomial) -> Fraction:
-    return p.coeffs[_grlex_lead(p)[1]]
-
-
-def poly_in_span(p: CartanPolynomial, echelon: Sequence[CartanPolynomial]) -> bool:
-    for row in echelon:
-        lead = _grlex_lead(row)[1]
-        c = p.coeffs.get(lead)
-        if c:
-            p = p - c * row
-    return p.is_zero()
+def poly_in_span(p: CartanPolynomial, polys: Iterable[CartanPolynomial]) -> bool:
+    """Whether p is a linear combination of polys."""
+    span = Echelon()
+    for q in polys:
+        span.insert(q.terms)
+    return not span.reduce(p.terms)
 
 
 def spans_equal(
@@ -555,7 +585,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         alpha, m = params["alpha"], params["m"]
         lhs = red(engine.ad_power(engine.e(alpha), m, engine.f(alpha, m)))
         rhs = math.factorial(m) * engine.from_cartan(
-            falling(engine.h_alpha_poly(alpha), m)
+            falling(h_alpha_poly(engine.lie, alpha), m)
         )
         return lhs == rhs
     if ident == 2:
@@ -612,7 +642,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         need(k <= m, "identity 10 needs k <= m")
         lhs = red(engine.ad_power(engine.e(alpha), k, engine.f(alpha, m)))
         coeff = Fraction(math.factorial(m), math.factorial(m - k))
-        tail = falling(engine.h_alpha_poly(alpha), k, start=m - k)
+        tail = falling(h_alpha_poly(engine.lie, alpha), k, start=m - k)
         rhs = coeff * engine.multiply(
             engine.f(alpha, m - k), engine.from_cartan(tail)
         )
@@ -692,6 +722,7 @@ def identity_suite(
         records.append((ident, {"i": "3..l empty"}, "skip"))
 
     for alpha in pos:
+        h_alpha = h_alpha_poly(engine.lie, alpha)
         for m in range(1, max_m + 1):
             run(1, alpha=alpha, m=m)
         for k in range(1, max_k + 1):
@@ -700,8 +731,7 @@ def identity_suite(
         for k in range(0, max_k + 1):
             for poly in (
                 CartanPolynomial.variable(l, 1),
-                engine.h_alpha_poly(alpha) * engine.h_alpha_poly(alpha)
-                - 3 * CartanPolynomial.variable(l, l),
+                h_alpha * h_alpha - 3 * CartanPolynomial.variable(l, l),
             ):
                 run(6, alpha=alpha, k=k, poly=poly)
         for m in range(1, max_m + 1):

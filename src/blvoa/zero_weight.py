@@ -2,8 +2,8 @@
 
 The adjoint submodule R of U(g) generated by the raising-operator image of
 the singular vector is saturated breadth-first under ad(e_i) and ad(f_i),
-with one exact echelon basis per weight space (hash-consed monomial
-columns, smallest-monomial pivots).  Its zero-weight space, pushed through
+with one exact reduced echelon basis per weight space (monomial columns,
+largest-monomial pivots).  Its zero-weight space, pushed through
 the highest-weight eigenvalue map, yields the polynomial span that cuts
 out the classified highest weights; the explicit closed-form polynomials
 are transcribed independently so membership can be cross-checked.
@@ -16,14 +16,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra
-from .rootsys import Root, Weight, eps_root
+from .rootsys import Weight, eps_root
 from .uea import (
     UEA,
     CartanPolynomial,
+    Echelon,
     Monomial,
     UEAElement,
     _compositions,
     falling,
+    h_alpha_poly,
     poly_echelon,
     poly_in_span,
 )
@@ -46,68 +48,16 @@ def singular_image(engine: UEA, n: int) -> UEAElement:
     return engine.power(base, n)
 
 
-class _EchelonSpace:
-    """Reduced echelon basis of one weight space, pivoting on the smallest
-    monomial present (monomials compare as tuples)."""
-
-    def __init__(self) -> None:
-        self.pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
-
-    def reduce(self, terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        work = dict(terms)
-        while work:
-            lead = min(work)
-            row = self.pivots.get(lead)
-            if row is None:
-                return work
-            c = work[lead]
-            for m, v in row.items():
-                nv = work.get(m, Fraction(0)) - c * v
-                if nv:
-                    work[m] = nv
-                elif m in work:
-                    del work[m]
-        return work
-
-    def insert(self, terms: dict[Monomial, Fraction]) -> Optional[dict]:
-        """Reduce and, if independent, add as a new normalized row."""
-        work = self.reduce(terms)
-        if not work:
-            return None
-        lead = min(work)
-        inv = Fraction(1) / work[lead]
-        row = {m: inv * c for m, c in work.items()}
-        for other in self.pivots.values():
-            c = other.get(lead)
-            if c:
-                for m, v in row.items():
-                    nv = other.get(m, Fraction(0)) - c * v
-                    if nv:
-                        other[m] = nv
-                    elif m in other:
-                        del other[m]
-        self.pivots[lead] = row
-        return row
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def rows(self) -> list[dict[Monomial, Fraction]]:
-        return [self.pivots[p] for p in sorted(self.pivots)]
-
-
 class AdModuleBasis:
     """Echelonized basis of the adjoint module, grouped by finite weight."""
 
-    def __init__(self, rank: int, n: int):
+    def __init__(self, rank: int):
         self.rank = rank
-        self.n = n
-        self.spaces: dict[tuple[Fraction, ...], _EchelonSpace] = {}
+        self.spaces: dict[tuple[Fraction, ...], Echelon] = {}
 
-    def space(self, eps: tuple[Fraction, ...]) -> _EchelonSpace:
+    def space(self, eps: tuple[Fraction, ...]) -> Echelon:
         if eps not in self.spaces:
-            self.spaces[eps] = _EchelonSpace()
+            self.spaces[eps] = Echelon()
         return self.spaces[eps]
 
     @property
@@ -143,7 +93,7 @@ def generate_module(
         raise OracleCeilingExceeded(
             f"dim {expected} exceeds oracle ceiling {ceiling}"
         )
-    basis = AdModuleBasis(l, n)
+    basis = AdModuleBasis(l)
     v0 = singular_image(engine, n)
     gens = [engine.gen(lie.e(a)) for a in lie.rootsys.simple_roots]
     gens += [engine.gen(lie.f(a)) for a in lie.rootsys.simple_roots]
@@ -196,14 +146,6 @@ def p0_basis(
 # ---------------------------------------------------------------------------
 
 
-def _hroot_poly(lie: LieAlgebra, alpha: Root) -> CartanPolynomial:
-    engine_rank = lie.rank
-    poly = CartanPolynomial(engine_rank, {})
-    for i, c in lie.h_of_root(alpha).items():
-        poly = poly + c * CartanPolynomial.variable(engine_rank, i)
-    return poly
-
-
 def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     """The i-th classifying polynomial (1-based, 1 <= i <= l).
 
@@ -217,7 +159,7 @@ def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     if i == l:
         return falling(CartanPolynomial.variable(l, l), 2 * n)
     head = falling(CartanPolynomial.variable(l, i), n)
-    hsum = _hroot_poly(lie, eps_root(l, i, i + 1, 1))
+    hsum = h_alpha_poly(lie, eps_root(l, i, i + 1, 1))
     offset = Fraction(2 * (l - i) - 1, 2)   # l - i - 1/2
     tail = falling(hsum + offset, n)
     return head * tail
@@ -232,8 +174,8 @@ def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
     starting at shift k_2 + ... + k_{j-1}.
     """
     l = lie.rank
-    h_eps1 = _hroot_poly(lie, eps_root(l, 1))
-    h_diff = [_hroot_poly(lie, eps_root(l, 1, j, -1)) for j in range(2, l + 1)]
+    h_eps1 = h_alpha_poly(lie, eps_root(l, 1))
+    h_diff = [h_alpha_poly(lie, eps_root(l, 1, j, -1)) for j in range(2, l + 1)]
     total = CartanPolynomial(l, {})
     for ks in _compositions(n, l):
         k1 = ks[0]

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import get_engine, get_lie
 
+from blvoa.affine import VacuumModule
 from blvoa.rootsys import Root, Weight
 from blvoa.uea import (
     CartanPolynomial,
@@ -16,6 +17,7 @@ from blvoa.uea import (
     check_commuting_monomials,
     check_identity,
     falling,
+    h_alpha_poly,
     identity_suite,
     poly_echelon,
     poly_in_span,
@@ -46,7 +48,7 @@ def test_square_product_cartan_part():
     eng = get_engine(2)
     eps1 = Root([1, 0])
     prod = eng.multiply(eng.e(eps1, 2), eng.f(eps1, 2))
-    h = eng.h_alpha_poly(eps1)
+    h = h_alpha_poly(eng.lie, eps1)
     assert eng.hw_polynomial(prod) == 2 * h * h - 2 * h
 
 
@@ -182,7 +184,7 @@ def test_hw_polynomial_examples():
     eps1 = Root([1, 0])
     assert eng.hw_polynomial(eng.h(1)) == CartanPolynomial.variable(2, 1)
     ef = eng.multiply(eng.e(eps1), eng.f(eps1))
-    assert eng.hw_polynomial(ef) == eng.h_alpha_poly(eps1)
+    assert eng.hw_polynomial(ef) == h_alpha_poly(eng.lie, eps1)
     fe = eng.multiply(eng.f(eps1), eng.e(eps1))
     assert eng.hw_polynomial(fe).is_zero()
     with pytest.raises(ValueError):
@@ -339,3 +341,97 @@ def test_poly_span_tools():
     assert not poly_in_span(h1 * h2, basis)
     assert spans_equal([h1 + h2, h1 - h2], [h1, h2])
     assert not spans_equal([h1], [h2])
+
+
+def test_poly_in_span_of_a_non_echelon_list():
+    # h1 = (h1 + h2) - h2, whichever order the spanning list comes in
+    h1 = CartanPolynomial.variable(2, 1)
+    h2 = CartanPolynomial.variable(2, 2)
+    assert poly_in_span(h1, [h2, h1 + h2])
+    assert poly_in_span(h1, [h1 + h2, h2])
+    assert not poly_in_span(h1 * h2, [h2, h1 + h2])
+
+
+def _dense_grlex_rref(polys, rank):
+    """Gauss-Jordan elimination on a dense Fraction matrix whose columns are
+    the monomials in decreasing grlex order; rows come out sorted by pivot,
+    grlex ascending."""
+    cols = sorted(
+        {e for p in polys for e in p.terms}, key=lambda e: (sum(e), e), reverse=True
+    )
+    rows = [[p.terms.get(e, Fraction(0)) for e in cols] for p in polys]
+    r = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(r, len(rows)) if rows[i][j] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][j] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] != 0:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return [CartanPolynomial(rank, dict(zip(cols, row))) for row in reversed(rows[:r])]
+
+
+def _random_poly(rng, rank):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(rank))
+        terms[exps] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return CartanPolynomial(rank, terms)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_poly_echelon_matches_dense_gauss_jordan(l):
+    rng = random.Random(500 + l)
+    for _ in range(40):
+        polys = [_random_poly(rng, l) for _ in range(rng.randint(1, 6))]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(polys), rng.choice(polys)
+            s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            polys.append(rng.choice([a, s * a + b, a - a]))   # duplicate, dependent, zero
+        rng.shuffle(polys)
+        basis = poly_echelon(polys)
+        assert basis == _dense_grlex_rref(polys, l)
+        assert all(poly_in_span(p, basis) for p in polys)
+
+
+def _uea_elements():
+    eng = get_engine(2)
+    a = _random_element(eng, random.Random(7), 3, 3)
+    return a, eng.element(dict(reversed(list(a.terms.items())))), None
+
+
+def _verma_vectors():
+    lie = get_lie(2)
+    terms = {((-1, 0),): Fraction(2), ((-2, 1), (-1, 3)): Fraction(-1, 3)}
+    flipped = dict(reversed(list(terms.items())))
+    return (
+        VacuumModule(lie, Fraction(1, 2)).element(terms),
+        VacuumModule(lie, Fraction(1, 2)).element(flipped),
+        VacuumModule(lie, Fraction(3, 2)).element(terms),
+    )
+
+
+def _cartan_polys():
+    terms = {(1, 0): Fraction(2), (0, 2): Fraction(-1, 3), (0, 0): Fraction(5)}
+    flipped = dict(reversed(list(terms.items())))
+    return (
+        CartanPolynomial(2, terms),
+        CartanPolynomial(2, flipped),
+        CartanPolynomial(3, terms),
+    )
+
+
+@pytest.mark.parametrize("make", [_uea_elements, _verma_vectors, _cartan_polys])
+def test_sparse_vector_laws(make):
+    a, same, elsewhere = make()
+    assert not a.is_zero()
+    assert (a - a).is_zero()
+    assert (-1) * a == -a
+    assert a == same and hash(a) == hash(same)
+    if elsewhere is not None:   # U(g) elements carry no space beyond their terms
+        assert elsewhere.terms == a.terms
+        assert a != elsewhere
