@@ -24,12 +24,12 @@ from .liealg import LieAlgebra
 from .rootsys import Root, RootSystem, Weight, eps_root, inner
 from .uea import (
     DEFAULT_TERM_GUARD,
-    MIXED,
     UEA,
     Echelon,
     Sparse,
     TermGuardExceeded,
     UEAElement,
+    _common_grading,
     add_into,
 )
 
@@ -81,28 +81,19 @@ class VermaVector(Sparse):
 
     def finite_weight(self):
         """Common finite ad-h weight of all words, or "mixed"."""
-        l = self.module.lie.rank
-        found: Weight | None = None
-        for word in self.terms:
-            w = Weight([0] * l)
-            for _, idx in word:
-                w = w + self.module.lie.basis[idx].weight
-            if found is None:
-                found = w
-            elif found != w:
-                return MIXED
-        return found if found is not None else Weight([0] * l)
+        basis = self.module.lie.basis
+        zero = Weight([0] * self.module.lie.rank)
+        weights = (
+            sum((basis[idx].weight for _, idx in word), zero)
+            for word in self.terms
+        )
+        return _common_grading(weights, zero)
 
     def mode_degree(self):
         """Common total mode (delta-degree) of all words, or "mixed"."""
-        found: int | None = None
-        for word in self.terms:
-            d = sum(m for m, _ in word)
-            if found is None:
-                found = d
-            elif found != d:
-                return MIXED
-        return found if found is not None else 0
+        return _common_grading(
+            (sum(m for m, _ in word) for word in self.terms), 0
+        )
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -156,6 +156,9 @@ class UEAElement(Sparse):
     def _new(self, terms: dict[Monomial, Fraction]) -> "UEAElement":
         return UEAElement(self.engine, terms)
 
+    def _space(self) -> int:
+        return self.engine.lie.rank
+
     def __mul__(self, other):
         if isinstance(other, UEAElement):
             return self.engine.multiply(self, other)
@@ -345,17 +348,12 @@ class UEA:
 
     def weight_of(self, r: UEAElement):
         """Common ad-h weight of all monomials, or the string "mixed"."""
-        l = self.lie.rank
-        found: Weight | None = None
-        for mono in r.terms:
-            w = Weight([0] * l)
-            for idx, p in mono:
-                w = w + p * self.weights[idx]
-            if found is None:
-                found = w
-            elif found != w:
-                return MIXED
-        return found if found is not None else Weight([0] * l)
+        zero = Weight([0] * self.lie.rank)
+        weights = (
+            sum((p * self.weights[idx] for idx, p in mono), zero)
+            for mono in r.terms
+        )
+        return _common_grading(weights, zero)
 
     def hw_polynomial(self, r: UEAElement) -> "CartanPolynomial":
         """Eigenvalue polynomial of a zero-weight element on highest-weight
@@ -377,6 +375,13 @@ class UEA:
                 exps[idx - self.h_start] = p
             coeffs[tuple(exps)] = c
         return CartanPolynomial(l, coeffs)
+
+
+def _common_grading(gradings: Iterable, default):
+    """The value every grading equals, default if there are none, or MIXED."""
+    it = iter(gradings)
+    first = next(it, default)
+    return first if all(g == first for g in it) else MIXED
 
 
 def _compress(word: tuple[int, ...]) -> Monomial:

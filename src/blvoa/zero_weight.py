@@ -1,9 +1,10 @@
 """Brute-force oracle for the zero-weight polynomial span.
 
-The adjoint submodule R of U(g) generated by the raising-operator image of
-the singular vector is saturated breadth-first under ad(e_i) and ad(f_i),
-with one exact reduced echelon basis per weight space (monomial columns,
-largest-monomial pivots).  Its zero-weight space, pushed through
+The adjoint submodule R of U(g) generated by the raising-operator image v
+of the singular vector is V(2n eps_1) with highest-weight vector v, so it
+is built breadth-first from v under ad(f_i) alone, each vector carrying its
+weight, with one exact reduced echelon basis per weight space (monomial
+columns, largest-monomial pivots).  Its zero-weight space, pushed through
 the highest-weight eigenvalue map, yields the polynomial span that cuts
 out the classified highest weights; the explicit closed-form polynomials
 are transcribed independently so membership can be cross-checked.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .liealg import LieAlgebra
 from .rootsys import Weight, eps_root
@@ -79,44 +79,37 @@ class AdModuleBasis:
 def generate_module(
     engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
 ) -> AdModuleBasis:
-    """Saturate {v} under ad of the Chevalley generators, v the singular image.
+    """Descend from v, the singular image, under ad(f_i) alone.
 
-    The result must close up at exactly the Weyl dimension of the module
-    with highest weight 2n eps_1; any mismatch signals a structure-constant
-    bug and raises.
+    Every ad(e_i) kills v, so R = U(n_-).v, and each row carries its
+    weight, lowered by alpha_i per step.  A v that some ad(e_i) does not
+    kill, or a module that does not close at exactly the Weyl dimension
+    of V(2n eps_1), signals a structure-constant bug and raises.
     """
     lie = engine.lie
     l = lie.rank
+    simple = lie.rootsys.simple_roots
     target_mu = Weight([2 * n] + [0] * (l - 1))
     expected = lie.rootsys.weyl_dim(target_mu)
     if expected > ceiling:
         raise OracleCeilingExceeded(
             f"dim {expected} exceeds oracle ceiling {ceiling}"
         )
+    v = singular_image(engine, n)
+    if any(not engine.ad(engine.e(a), v).is_zero() for a in simple):
+        raise RuntimeError("singular image is not a highest-weight vector")
     basis = AdModuleBasis(l)
-    v0 = singular_image(engine, n)
-    gens = [engine.gen(lie.e(a)) for a in lie.rootsys.simple_roots]
-    gens += [engine.gen(lie.f(a)) for a in lie.rootsys.simple_roots]
-
-    def try_insert(vec: UEAElement) -> Optional[UEAElement]:
-        w = engine.weight_of(vec)
-        row = basis.space(w.eps).insert(vec.terms)
-        if row is None:
-            return None
-        return UEAElement(engine, row)
-
-    queue = [try_insert(v0)]
-    while queue:
-        v = queue.pop(0)
-        if v is None:
-            continue
-        for g in gens:
-            u = engine.ad(g, v)
+    basis.space(target_mu.eps).insert(v.terms)
+    queue = [(v, target_mu.eps)]
+    for x, w in queue:
+        for a in simple:
+            u = engine.ad(engine.f(a), x)
             if u.is_zero():
                 continue
-            added = try_insert(u)
-            if added is not None:
-                queue.append(added)
+            mu = tuple(c - d for c, d in zip(w, a.eps))
+            row = basis.space(mu).insert(u.terms)
+            if row is not None:
+                queue.append((UEAElement(engine, row), mu))
                 if basis.dim > expected:
                     raise RuntimeError(
                         f"adjoint module did not close at dimension {expected}"

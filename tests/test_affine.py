@@ -105,6 +105,16 @@ def test_singular_candidate_shape():
     assert v0 == VacuumModule(lie, Fraction(-3, 2)).vacuum()
 
 
+def test_mixed_verma_vector_gradings():
+    lie = get_lie(2)
+    alpha = Root([1, 0])
+    v = VacuumModule(lie, Fraction(1, 2)).element(
+        {((-1, lie.e(alpha).index),): 1, ((-2, lie.f(alpha).index),): 1}
+    )
+    assert v.finite_weight() == "mixed"
+    assert v.mode_degree() == "mixed"
+
+
 @pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (2, 2)])
 def test_singular_weight_shift(l, n):
     v = build_singular_candidate(get_lie(l), n)

@@ -8,8 +8,9 @@ import pytest
 from conftest import get_engine, get_lie
 
 from blvoa.rootsys import Root, Weight, weight_from_fundamental
-from blvoa.uea import CartanPolynomial, poly_in_span, spans_equal
+from blvoa.uea import CartanPolynomial, UEAElement, poly_in_span, spans_equal
 from blvoa.zero_weight import (
+    AdModuleBasis,
     OracleCeilingExceeded,
     explicit_p,
     explicit_polys,
@@ -35,6 +36,7 @@ def test_singular_image_weight():
     [
         (2, 1, 14, 2),
         (3, 1, 27, 3),
+        (4, 1, 44, 4),
         (2, 2, 55, 3),
     ],
 )
@@ -48,11 +50,44 @@ def test_generate_module_dimensions(l, n, dim, dim0):
     assert module.dim_zero == dim0
 
 
-def test_generate_module_rank4():
-    eng = get_engine(4)
-    module = generate_module(eng, 1)
-    assert module.dim == 2 * 16 + 12
-    assert module.dim_zero <= 4
+def _two_sided_saturation(engine, n):
+    """Reference: saturate the singular image breadth-first under ad(e_i)
+    and ad(f_i), recomputing each new vector's weight from its monomials."""
+    lie = engine.lie
+    simple = lie.rootsys.simple_roots
+    gens = [engine.e(a) for a in simple] + [engine.f(a) for a in simple]
+    basis = AdModuleBasis(lie.rank)
+    queue = [singular_image(engine, n)]
+    basis.space(engine.weight_of(queue[0]).eps).insert(queue[0].terms)
+    for v in queue:
+        for g in gens:
+            u = engine.ad(g, v)
+            if u.is_zero():
+                continue
+            row = basis.space(engine.weight_of(u).eps).insert(u.terms)
+            if row is not None:
+                queue.append(UEAElement(engine, row))
+    return basis
+
+
+@pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (4, 1), (2, 2)])
+def test_descent_matches_two_sided_saturation(l, n):
+    eng = get_engine(l)
+    module = generate_module(eng, n)
+    reference = _two_sided_saturation(eng, n)
+    assert module.spaces.keys() == reference.spaces.keys()
+    for w, space in module.spaces.items():
+        assert space.rows() == reference.spaces[w].rows()
+
+
+def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
+    eng = get_engine(2)
+    alpha = eng.lie.rootsys.simple_roots[0]
+    monkeypatch.setattr(
+        "blvoa.zero_weight.singular_image", lambda engine, n: engine.f(alpha)
+    )
+    with pytest.raises(RuntimeError, match="highest-weight"):
+        generate_module(eng, 1)
 
 
 def test_oracle_ceiling():
