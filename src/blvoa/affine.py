@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, add_into
 from .rootsys import Root, RootSystem, Weight, eps_root, inner
 from .uea import (
     DEFAULT_TERM_GUARD,
@@ -30,7 +30,6 @@ from .uea import (
     TermGuardExceeded,
     UEAElement,
     _common_grading,
-    add_into,
 )
 
 Rat = Union[int, Fraction]
@@ -72,8 +71,8 @@ class VermaVector(Sparse):
     def _new(self, terms: dict[CWord, Fraction]) -> "VermaVector":
         return VermaVector(self.module, terms)
 
-    def _space(self) -> Fraction:
-        return self.module.level
+    def _space(self) -> tuple[int, Fraction]:
+        return (self.module.lie.rank, self.module.level)
 
     @property
     def level(self) -> Fraction:

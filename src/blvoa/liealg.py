@@ -33,14 +33,19 @@ def _unit(i: int, j: int) -> Matrix:
     return {(i - 1, j - 1): Fraction(1)}
 
 
+def add_into(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum is zero."""
+    v = out.get(key, 0) + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     out = dict(a)
     for key, y in b.items():
-        v = out.get(key, 0) - y
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        add_into(out, key, -y)
     return out
 
 
@@ -53,8 +58,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for (i, j), x in a.items():
         for (jj, k), y in b.items():
             if j == jj:
-                out[i, k] = out.get((i, k), 0) + x * y
-    return {key: v for key, v in out.items() if v}
+                add_into(out, (i, k), x * y)
+    return out
 
 
 def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
@@ -257,14 +262,18 @@ class LieAlgebra:
             raise ArithmeticError("matrix does not lie in the algebra span")
         return out
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, int]:
         """[x_i, x_j] expanded in the basis, by index."""
         return self.structure_constants()[(i, j)]
 
-    def structure_constants(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """Full bracket table over ordered basis pairs (computed once)."""
+    def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
+        """Full bracket table over ordered basis pairs (computed once).
+
+        Every coefficient is an int; a non-integral one raises
+        ArithmeticError instead of being truncated.
+        """
         if self._brackets is None:
-            table: dict[tuple[int, int], dict[int, Fraction]] = {}
+            table: dict[tuple[int, int], dict[int, int]] = {}
             nb = len(self.basis)
             for i in range(nb):
                 table[(i, i)] = {}
@@ -272,8 +281,13 @@ class LieAlgebra:
                     exp = self.expand(
                         mat_bracket(self.basis[i].matrix, self.basis[j].matrix)
                     )
-                    table[(i, j)] = exp
-                    table[(j, i)] = {k: -v for k, v in exp.items()}
+                    if any(c.denominator != 1 for c in exp.values()):
+                        raise ArithmeticError(
+                            f"[x_{i}, x_{j}] has a non-integral coefficient"
+                        )
+                    row = {k: int(c) for k, c in exp.items()}
+                    table[(i, j)] = row
+                    table[(j, i)] = {k: -v for k, v in row.items()}
             self._brackets = table
         return self._brackets
 

@@ -7,10 +7,12 @@ U(g)n_+ exactly when its raising block is nonempty, so reduction modulo
 U(g)n_+ is a syntactic filter, and the eigenvalue of a zero-weight element
 on a highest-weight vector is read off from its pure-Cartan part.
 
-Normalization rewrites adjacent out-of-order generator pairs through the
-bracket table (bubble sort with commutator corrections), memoizing products
-of canonical monomial pairs.  A configurable term-count guard aborts
-runaway expansions.
+Normalization inserts one letter at a time into a normal-ordered monomial,
+commuting it past each smaller letter through the integer bracket table,
+and memoizes each insertion on (letter, monomial); a product of monomials
+inserts the letters of the left one, last first, into the right one.  A
+configurable term-count guard bounds each insertion and each monomial
+product.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .liealg import BasisElement, LieAlgebra
+from .liealg import BasisElement, LieAlgebra, add_into
 from .rootsys import Root, Weight, eps_root
 
 Rat = Union[int, Fraction]
@@ -32,15 +34,6 @@ MIXED = "mixed"
 
 class TermGuardExceeded(RuntimeError):
     """Raised when a normalization exceeds the configured term budget."""
-
-
-def add_into(out: dict, key, c) -> None:
-    """out[key] += c, dropping the key when the sum is zero."""
-    v = out.get(key, 0) + c
-    if v:
-        out[key] = v
-    else:
-        out.pop(key, None)
 
 
 class Sparse:
@@ -184,8 +177,8 @@ class UEAElement(Sparse):
 class UEA:
     """Normal-ordering engine for U(g) over a fixed LieAlgebra.
 
-    Elements are immutable; the monomial-product memo table is append-only,
-    so concurrent readers always observe identical canonical forms.
+    Elements are immutable; the insertion memo table is append-only, so
+    concurrent readers always observe identical canonical forms.
     """
 
     def __init__(self, lie: LieAlgebra, term_guard: int = DEFAULT_TERM_GUARD):
@@ -196,7 +189,7 @@ class UEA:
         self.e_start = lie.e_start
         self.brackets = lie.structure_constants()
         self.weights = [b.weight for b in lie.basis]
-        self._mono_cache: dict[tuple[Monomial, Monomial], dict] = {}
+        self._mono_cache: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -252,47 +245,47 @@ class UEA:
             out = self.multiply(out, a)
         return out
 
-    def _mono_mul(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        if not m1:
-            return {m2: Fraction(1)}
-        if not m2:
-            return {m1: Fraction(1)}
-        key = (m1, m2)
+    def _mono_mul(self, m1: Monomial, m2: Monomial) -> dict[Monomial, int]:
+        """m1·m2 in PBW normal form: the letters of m1, last first, inserted
+        into m2."""
+        out = {m2: 1}
+        for idx, p in reversed(m1):
+            for _ in range(p):
+                out = self._guard(self._insert_each(idx, out))
+        return out
+
+    def _insert(self, x: int, mono: Monomial) -> dict[Monomial, int]:
+        """x·mono in PBW normal form."""
+        if not mono or x < mono[0][0]:
+            return {((x, 1),) + mono: 1}
+        head, p = mono[0]
+        if x == head:
+            return {((x, p + 1),) + mono[1:]: 1}
+        key = (x, mono)
         cached = self._mono_cache.get(key)
         if cached is None:
-            word: list[int] = []
-            for idx, p in m1:
-                word.extend([idx] * p)
-            for idx, p in m2:
-                word.extend([idx] * p)
-            cached = self._normalize_word(tuple(word))
-            self._mono_cache[key] = cached
+            rest = ((head, p - 1),) + mono[1:] if p > 1 else mono[1:]
+            # x·head·rest = head·(x·rest) + [x, head]·rest
+            out = self._insert_each(head, self._insert(x, rest))
+            for k, c in self.brackets[(x, head)].items():
+                for m, c2 in self._insert(k, rest).items():
+                    add_into(out, m, c * c2)
+            cached = self._mono_cache[key] = self._guard(out)
         return cached
 
-    def _normalize_word(self, word: tuple[int, ...]) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        stack: list[tuple[tuple[int, ...], Fraction]] = [(word, Fraction(1))]
-        budget = self.term_guard
-        processed = 0
-        while stack:
-            w, c = stack.pop()
-            processed += 1
-            if processed > budget:
-                raise TermGuardExceeded(
-                    f"normalization exceeded {budget} terms"
-                )
-            pos = -1
-            for t in range(len(w) - 1):
-                if w[t] > w[t + 1]:
-                    pos = t
-                    break
-            if pos < 0:
-                add_into(out, _compress(w), c)
-                continue
-            a, b = w[pos], w[pos + 1]
-            stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
-            for k, cf in self.brackets[(a, b)].items():
-                stack.append((w[:pos] + (k,) + w[pos + 2:], c * cf))
+    def _insert_each(self, x: int, terms: dict) -> dict[Monomial, int]:
+        """x·terms, inserting x into each monomial."""
+        out: dict[Monomial, int] = {}
+        for mono, c in terms.items():
+            for m, c2 in self._insert(x, mono).items():
+                add_into(out, m, c * c2)
+        return out
+
+    def _guard(self, out: dict) -> dict:
+        if len(out) > self.term_guard:
+            raise TermGuardExceeded(
+                f"normalization exceeded {self.term_guard} terms"
+            )
         return out
 
     # -- adjoint action -------------------------------------------------------
@@ -382,16 +375,6 @@ def _common_grading(gradings: Iterable, default):
     it = iter(gradings)
     first = next(it, default)
     return first if all(g == first for g in it) else MIXED
-
-
-def _compress(word: tuple[int, ...]) -> Monomial:
-    mono: list[tuple[int, int]] = []
-    for idx in word:
-        if mono and mono[-1][0] == idx:
-            mono[-1] = (idx, mono[-1][1] + 1)
-        else:
-            mono.append((idx, 1))
-    return tuple(mono)
 
 
 def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:

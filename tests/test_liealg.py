@@ -166,6 +166,14 @@ def test_structure_constant_examples():
     assert table[(e1.index, e1.index)] == {}
 
 
+def test_structure_constants_reject_a_non_integral_coefficient():
+    # int() would truncate 1/2 to 0 without a word
+    lie = LieAlgebra(2)
+    lie.expand = lambda m: {0: Fraction(1, 2)}
+    with pytest.raises(ArithmeticError):
+        lie.structure_constants()
+
+
 def test_structure_constants_antisymmetric():
     lie = get_lie(2)
     table = lie.structure_constants()

@@ -2,6 +2,7 @@
 highest-weight polynomials and the rewriting-identity suite."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import get_engine, get_lie
 
 from blvoa.affine import VacuumModule
+from blvoa.liealg import add_into
 from blvoa.rootsys import Root, Weight
 from blvoa.uea import (
     CartanPolynomial,
@@ -219,6 +221,18 @@ def test_term_guard_trips():
         tiny.multiply(tiny.e(eps1, 3), tiny.f(eps1, 3))
 
 
+def test_term_guard_bounds_each_normal_ordering_result():
+    # e(eps1)^3 f(eps1)^3 has 19 terms at rank 2, and no insertion on the way
+    # has more: a guard of 19 computes it, 18 trips
+    lie = get_lie(2)
+    eps1 = Root([1, 0])
+    eng = UEA(lie, term_guard=19)
+    assert eng.multiply(eng.e(eps1, 3), eng.f(eps1, 3)).term_count() == 19
+    tight = UEA(lie, term_guard=18)
+    with pytest.raises(TermGuardExceeded):
+        tight.multiply(tight.e(eps1, 3), tight.f(eps1, 3))
+
+
 def test_concurrent_multiplies_agree():
     # the memo table is shared; parallel callers must see one canonical form
     from concurrent.futures import ThreadPoolExecutor
@@ -229,6 +243,90 @@ def test_concurrent_multiplies_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: eng.multiply(a, b), range(32)))
     assert all(r == results[0] for r in results)
+
+
+# -- letter insertion against the bubble-sort normalizer ---------------------
+
+
+def _compress(word):
+    mono = []
+    for idx in word:
+        if mono and mono[-1][0] == idx:
+            mono[-1] = (idx, mono[-1][1] + 1)
+        else:
+            mono.append((idx, 1))
+    return tuple(mono)
+
+
+def _normalize_word(brackets, word):
+    """Reference normal form of a word of basis indices: swap the first
+    out-of-order pair, adding its commutator, until every word is sorted."""
+    out = {}
+    stack = [(word, Fraction(1))]
+    while stack:
+        w, c = stack.pop()
+        pos = -1
+        for t in range(len(w) - 1):
+            if w[t] > w[t + 1]:
+                pos = t
+                break
+        if pos < 0:
+            add_into(out, _compress(w), c)
+            continue
+        a, b = w[pos], w[pos + 1]
+        stack.append((w[:pos] + (b, a) + w[pos + 2:], c))
+        for k, cf in brackets[(a, b)].items():
+            stack.append((w[:pos] + (k,) + w[pos + 2:], c * cf))
+    return out
+
+
+def _reference_multiply(eng, a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            word = tuple(idx for idx, p in m1 + m2 for _ in range(p))
+            for m, c in _normalize_word(eng.brackets, word).items():
+                add_into(out, m, c1 * c2 * c)
+    return eng.element(out)
+
+
+def _random_monomial(eng, rng, kind):
+    """kind 0: the empty monomial; 1: pure Cartan; 2: one letter to a power
+    2 or 3; 3: up to three letters from the whole basis."""
+    if kind == 0:
+        return ()
+    if kind == 1:
+        letters = [rng.randrange(eng.h_start, eng.e_start) for _ in range(3)]
+    elif kind == 2:
+        letters = [rng.randrange(eng.nbasis)] * rng.randint(2, 3)
+    else:
+        letters = [rng.randrange(eng.nbasis) for _ in range(rng.randint(1, 3))]
+    return tuple(sorted(Counter(letters).items()))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_multiply_matches_bubble_sort_reference(l):
+    eng = UEA(get_lie(l))
+    rng = random.Random(700 + l)
+    for _ in range(5):
+        for kind_a in range(4):
+            for kind_b in range(4):
+                a, b = (
+                    eng.element(
+                        {
+                            _random_monomial(eng, rng, kind): Fraction(
+                                rng.randint(1, 5), rng.randint(1, 3)
+                            )
+                            for _ in range(rng.randint(1, 2))
+                        }
+                    )
+                    for kind in (kind_a, kind_b)
+                )
+                assert eng.multiply(a, b) == _reference_multiply(eng, a, b)
+    assert eng._mono_cache
+    assert all(
+        type(c) is int for out in eng._mono_cache.values() for c in out.values()
+    )
 
 
 # -- the identity suite ------------------------------------------------------
@@ -419,6 +517,11 @@ def _verma_vectors():
     )
 
 
+def _verma_vectors_across_ranks():
+    a, same, _ = _verma_vectors()
+    return a, same, VacuumModule(get_lie(3), Fraction(1, 2)).element(a.terms)
+
+
 def _cartan_polys():
     terms = {(1, 0): Fraction(2), (0, 2): Fraction(-1, 3), (0, 0): Fraction(5)}
     flipped = dict(reversed(list(terms.items())))
@@ -429,7 +532,10 @@ def _cartan_polys():
     )
 
 
-@pytest.mark.parametrize("make", [_uea_elements, _verma_vectors, _cartan_polys])
+@pytest.mark.parametrize(
+    "make",
+    [_uea_elements, _verma_vectors, _verma_vectors_across_ranks, _cartan_polys],
+)
 def test_sparse_vector_laws(make):
     a, same, elsewhere = make()
     assert not a.is_zero()
