@@ -9,6 +9,7 @@ squared length 1 and long roots (eps_i +- eps_j) squared length 2.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -186,6 +187,30 @@ class RootSystem:
         if num.denominator != 1 or num <= 0:
             raise ArithmeticError(f"Weyl dimension came out as {num}")
         return int(num)
+
+
+def harmonic_multiplicities(rank: int, k: int) -> dict[tuple[int, ...], int]:
+    """Weight multiplicities of V(k eps_1), keyed by eps-coordinates.
+
+    V(k eps_1) is the space of harmonic polynomials of degree k on
+    C^{2l+1}, so its weights are the integral mu with |mu|_1 <= k, and mu
+    has multiplicity C(floor((k - |mu|_1)/2) + l - 1, l - 1).
+    """
+
+    def walk(i: int, budget: int):
+        """Yield (mu_{i+1}, ..., mu_l) with k - |mu|_1, given the budget
+        k - |mu_1, ..., mu_i|_1."""
+        if i == rank:
+            yield (), budget
+            return
+        for c in range(-budget, budget + 1):
+            for rest, left in walk(i + 1, budget - abs(c)):
+                yield (c,) + rest, left
+
+    return {
+        mu: math.comb(left // 2 + rank - 1, rank - 1)
+        for mu, left in walk(0, k)
+    }
 
 
 def build_root_system(rank: int) -> RootSystem:

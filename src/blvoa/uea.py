@@ -188,7 +188,7 @@ class UEA:
         self.h_start = lie.h_start
         self.e_start = lie.e_start
         self.brackets = lie.structure_constants()
-        self.weights = [b.weight for b in lie.basis]
+        self.weights = [tuple(int(c) for c in b.weight.eps) for b in lie.basis]
         self._mono_cache: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
 
     # -- constructors -------------------------------------------------------
@@ -341,12 +341,16 @@ class UEA:
 
     def weight_of(self, r: UEAElement):
         """Common ad-h weight of all monomials, or the string "mixed"."""
-        zero = Weight([0] * self.lie.rank)
-        weights = (
-            sum((p * self.weights[idx] for idx, p in mono), zero)
-            for mono in r.terms
-        )
-        return _common_grading(weights, zero)
+        zero = (0,) * self.lie.rank
+
+        def mono_weight(mono: Monomial) -> tuple[int, ...]:
+            w = zero
+            for idx, p in mono:
+                w = tuple(a + p * b for a, b in zip(w, self.weights[idx]))
+            return w
+
+        w = _common_grading(map(mono_weight, r.terms), zero)
+        return w if w == MIXED else Weight(w)
 
     def hw_polynomial(self, r: UEAElement) -> "CartanPolynomial":
         """Eigenvalue polynomial of a zero-weight element on highest-weight

@@ -2,21 +2,26 @@
 
 The adjoint submodule R of U(g) generated by the raising-operator image v
 of the singular vector is V(2n eps_1) with highest-weight vector v, so it
-is built breadth-first from v under ad(f_i) alone, each vector carrying its
+is built by descent from v under ad(f_i) alone, each vector carrying its
 weight, with one exact reduced echelon basis per weight space (monomial
-columns, largest-monomial pivots).  Its zero-weight space, pushed through
-the highest-weight eigenvalue map, yields the polynomial span that cuts
-out the classified highest weights; the explicit closed-form polynomials
-are transcribed independently so membership can be cross-checked.
+columns, largest-monomial pivots).  The closed-form weight multiplicities
+of V(2n eps_1) set each space's target: a full space is skipped, and every
+space must close at its target.  Its zero-weight space, pushed through the
+highest-weight eigenvalue map, yields the polynomial span that cuts out the
+classified highest weights.  Each R_mu with mu >= 0 is spanned by the
+f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so that span is computed from
+the weights mu >= 0 alone.  The explicit closed-form polynomials are
+transcribed independently so membership can be cross-checked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .liealg import LieAlgebra
-from .rootsys import Weight, eps_root
+from .rootsys import Weight, eps_root, harmonic_multiplicities
 from .uea import (
     UEA,
     CartanPolynomial,
@@ -34,7 +39,8 @@ DEFAULT_DIM_CEILING = 2000
 
 
 class OracleCeilingExceeded(RuntimeError):
-    """The requested adjoint module is larger than the configured ceiling."""
+    """The oracle descent would build more vectors than the configured
+    ceiling."""
 
 
 def singular_image(engine: UEA, n: int) -> UEAElement:
@@ -49,13 +55,14 @@ def singular_image(engine: UEA, n: int) -> UEAElement:
 
 
 class AdModuleBasis:
-    """Echelonized basis of the adjoint module, grouped by finite weight."""
+    """Echelonized basis of the adjoint module, grouped by finite weight
+    (integer eps-coordinates)."""
 
     def __init__(self, rank: int):
         self.rank = rank
-        self.spaces: dict[tuple[Fraction, ...], Echelon] = {}
+        self.spaces: dict[tuple[int, ...], Echelon] = {}
 
-    def space(self, eps: tuple[Fraction, ...]) -> Echelon:
+    def space(self, eps: tuple[int, ...]) -> Echelon:
         if eps not in self.spaces:
             self.spaces[eps] = Echelon()
         return self.spaces[eps]
@@ -64,60 +71,84 @@ class AdModuleBasis:
     def dim(self) -> int:
         return sum(s.dim for s in self.spaces.values())
 
+    def dim_at(self, eps: tuple[int, ...]) -> int:
+        space = self.spaces.get(eps)
+        return space.dim if space else 0
+
     @property
     def dim_zero(self) -> int:
-        zero = (Fraction(0),) * self.rank
-        return self.spaces[zero].dim if zero in self.spaces else 0
+        return self.dim_at((0,) * self.rank)
 
     def zero_weight_rows(self) -> list[dict[Monomial, Fraction]]:
-        zero = (Fraction(0),) * self.rank
-        if zero not in self.spaces:
-            return []
-        return self.spaces[zero].rows()
+        space = self.spaces.get((0,) * self.rank)
+        return space.rows() if space else []
 
 
 def generate_module(
-    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
+    engine: UEA,
+    n: int,
+    ceiling: int = DEFAULT_DIM_CEILING,
+    nonnegative: bool = False,
 ) -> AdModuleBasis:
     """Descend from v, the singular image, under ad(f_i) alone.
 
     Every ad(e_i) kills v, so R = U(n_-).v, and each row carries its
-    weight, lowered by alpha_i per step.  A v that some ad(e_i) does not
-    kill, or a module that does not close at exactly the Weyl dimension
-    of V(2n eps_1), signals a structure-constant bug and raises.
+    weight, lowered by alpha_i per step.  The targets are the weight
+    multiplicities of V(2n eps_1), whose sum is checked against the Weyl
+    dimension, over every weight or, with nonnegative, over the weights
+    mu >= 0 only (every partial sum of the eps-coordinates >= 0); the
+    descent builds no vector outside them.  ad(f_i).x is not computed
+    once the space it lands in is full, so no space can overfill.  A v
+    that some ad(e_i) does not kill, or a space that closes at a dimension
+    other than its target, signals a structure-constant bug and raises.
+    OracleCeilingExceeded is raised before any work when the targets sum
+    past the ceiling.
     """
     lie = engine.lie
     l = lie.rank
     simple = lie.rootsys.simple_roots
-    target_mu = Weight([2 * n] + [0] * (l - 1))
-    expected = lie.rootsys.weyl_dim(target_mu)
-    if expected > ceiling:
+    top = (2 * n,) + (0,) * (l - 1)
+    targets = harmonic_multiplicities(l, 2 * n)
+    if sum(targets.values()) != lie.rootsys.weyl_dim(Weight(top)):
+        raise RuntimeError(
+            f"weight multiplicities of V({2 * n} eps_1) do not sum to its"
+            " Weyl dimension"
+        )
+    if nonnegative:
+        targets = {
+            mu: m
+            for mu, m in targets.items()
+            if min(itertools.accumulate(mu)) >= 0
+        }
+    total = sum(targets.values())
+    if total > ceiling:
         raise OracleCeilingExceeded(
-            f"dim {expected} exceeds oracle ceiling {ceiling}"
+            f"oracle descent builds {total} vectors, over ceiling {ceiling}"
         )
     v = singular_image(engine, n)
     if any(not engine.ad(engine.e(a), v).is_zero() for a in simple):
         raise RuntimeError("singular image is not a highest-weight vector")
+    lowering = [(engine.f(a), engine.weights[lie.f(a).index]) for a in simple]
     basis = AdModuleBasis(l)
-    basis.space(target_mu.eps).insert(v.terms)
-    queue = [(v, target_mu.eps)]
+    basis.space(top).insert(v.terms)
+    queue = [(v, top)]
     for x, w in queue:
-        for a in simple:
-            u = engine.ad(engine.f(a), x)
+        for f, step in lowering:
+            mu = tuple(c + d for c, d in zip(w, step))
+            if basis.dim_at(mu) >= targets.get(mu, 0):
+                continue
+            u = engine.ad(f, x)
             if u.is_zero():
                 continue
-            mu = tuple(c - d for c, d in zip(w, a.eps))
             row = basis.space(mu).insert(u.terms)
             if row is not None:
                 queue.append((UEAElement(engine, row), mu))
-                if basis.dim > expected:
-                    raise RuntimeError(
-                        f"adjoint module did not close at dimension {expected}"
-                    )
-    if basis.dim != expected:
-        raise RuntimeError(
-            f"adjoint module closed at {basis.dim}, expected {expected}"
-        )
+    for mu, target in targets.items():
+        if basis.dim_at(mu) != target:
+            raise RuntimeError(
+                f"weight space {mu} closed at dimension {basis.dim_at(mu)},"
+                f" target {target}"
+            )
     return basis
 
 
@@ -125,8 +156,8 @@ def p0_basis(
     engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
 ) -> list[CartanPolynomial]:
     """Canonical basis of the highest-weight polynomials of the zero-weight
-    space, computed from the oracle module."""
-    module = generate_module(engine, n, ceiling)
+    space, computed from the oracle module at the weights >= 0."""
+    module = generate_module(engine, n, ceiling, nonnegative=True)
     polys = [
         engine.hw_polynomial(UEAElement(engine, row))
         for row in module.zero_weight_rows()

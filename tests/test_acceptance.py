@@ -38,7 +38,13 @@ from blvoa.classify import (
     mu_s_prime,
     solve_triangular,
 )
-from blvoa.rootsys import Root, Weight, inner, weight_from_fundamental
+from blvoa.rootsys import (
+    Root,
+    Weight,
+    harmonic_multiplicities,
+    inner,
+    weight_from_fundamental,
+)
 from blvoa.uea import (
     check_commuting_monomials,
     identity_suite,
@@ -107,6 +113,12 @@ def harmonic_character(l: int, k: int) -> Counter:
         return char
 
     return monomials(k) - monomials(k - 2)
+
+
+# the oracle's per-weight targets, against the engine-free count above
+@pytest.mark.parametrize("l,n", [(2, 2), (3, 2)])
+def test_harmonic_multiplicities_match_harmonic_character(l, n):
+    assert harmonic_multiplicities(l, 2 * n) == harmonic_character(l, 2 * n)
 
 
 def character_of(module) -> dict:

@@ -158,6 +158,17 @@ def test_oracle_ceiling_exits_2(capsys):
     assert code == 2
 
 
+# the ceiling bounds the vectors the descent builds: at (2, 1), the 8 of
+# V(2 eps_1) at the weights >= 0
+@pytest.mark.parametrize("ceiling,code", [("8", 0), ("7", 2)])
+def test_oracle_ceiling_counts_the_pruned_descent(capsys, ceiling, code):
+    got, _, err = run(
+        capsys, "p0", "--rank", "2", "--n", "1", "--oracle-ceiling", ceiling
+    )
+    assert got == code
+    assert ("8 vectors" in err) == (code == 2)
+
+
 def test_inconsistency_exits_3(capsys, monkeypatch):
     import blvoa.cli as cli_mod
 

@@ -12,6 +12,7 @@ from blvoa.rootsys import (
     build_root_system,
     coroot_pairing,
     eps_root,
+    harmonic_multiplicities,
     inner,
     weight_from_fundamental,
 )
@@ -159,6 +160,15 @@ def test_weyl_dim_values():
         assert rsl.weyl_dim(Weight([0] * l)) == 1
         assert rsl.weyl_dim(rsl.fundamental_weight(1)) == 2 * l + 1
         assert rsl.weyl_dim(2 * rsl.fundamental_weight(1)) == 2 * l * l + 3 * l
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_harmonic_multiplicities_sum_to_weyl_dim(l):
+    rs = build_root_system(l)
+    for k in range(1, 7):
+        table = harmonic_multiplicities(l, k)
+        assert sum(table.values()) == rs.weyl_dim(Weight([k] + [0] * (l - 1)))
+        assert all(m > 0 for m in table.values())
 
 
 def test_weyl_dim_spin_representation():

@@ -7,8 +7,19 @@ import pytest
 
 from conftest import get_engine, get_lie
 
-from blvoa.rootsys import Root, Weight, weight_from_fundamental
-from blvoa.uea import CartanPolynomial, UEAElement, poly_in_span, spans_equal
+from blvoa.rootsys import (
+    Root,
+    Weight,
+    harmonic_multiplicities,
+    weight_from_fundamental,
+)
+from blvoa.uea import (
+    CartanPolynomial,
+    UEAElement,
+    poly_echelon,
+    poly_in_span,
+    spans_equal,
+)
 from blvoa.zero_weight import (
     AdModuleBasis,
     OracleCeilingExceeded,
@@ -80,6 +91,53 @@ def test_descent_matches_two_sided_saturation(l, n):
         assert space.rows() == reference.spaces[w].rows()
 
 
+def _is_nonnegative(mu):
+    """mu >= 0: every partial sum of its eps-coordinates is >= 0."""
+    return all(sum(mu[: i + 1]) >= 0 for i in range(len(mu)))
+
+
+@pytest.mark.parametrize(
+    "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2)]
+)
+def test_pruned_descent_matches_the_full_module(l, n):
+    eng = get_engine(l)
+    full = generate_module(eng, n)
+    pruned = generate_module(eng, n, nonnegative=True)
+    assert pruned.spaces.keys() == {w for w in full.spaces if _is_nonnegative(w)}
+    for w, space in pruned.spaces.items():
+        assert space.dim > 0
+        assert space.rows() == full.spaces[w].rows()
+    from_full = poly_echelon(
+        eng.hw_polynomial(UEAElement(eng, row)) for row in full.zero_weight_rows()
+    )
+    assert p0_basis(eng, n) == from_full
+
+
+def test_descent_names_a_space_that_closes_short(monkeypatch):
+    def padded(rank, k):
+        table = harmonic_multiplicities(rank, k)
+        table[(0,) * rank] += 1
+        table[(-k,) + (0,) * (rank - 1)] -= 1   # keeps the Weyl dimension
+        return table
+
+    monkeypatch.setattr("blvoa.zero_weight.harmonic_multiplicities", padded)
+    with pytest.raises(
+        RuntimeError, match=r"weight space \(0, 0\) closed at dimension 2, target 3"
+    ):
+        generate_module(get_engine(2), 1)
+
+
+def test_descent_checks_its_targets_against_the_weyl_dimension(monkeypatch):
+    def short(rank, k):
+        table = harmonic_multiplicities(rank, k)
+        table[(0,) * rank] -= 1
+        return table
+
+    monkeypatch.setattr("blvoa.zero_weight.harmonic_multiplicities", short)
+    with pytest.raises(RuntimeError, match="Weyl dimension"):
+        generate_module(get_engine(2), 1, nonnegative=True)
+
+
 def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
     eng = get_engine(2)
     alpha = eng.lie.rootsys.simple_roots[0]
@@ -94,6 +152,17 @@ def test_oracle_ceiling():
     eng = get_engine(2)
     with pytest.raises(OracleCeilingExceeded):
         generate_module(eng, 1, ceiling=5)
+
+
+# the ceiling bounds the vectors the descent builds, checked before any
+# work: weyl_dim(6 eps_1) = 2,508 for the whole module at (4, 3), and
+# 1,000 at the weights >= 0
+def test_oracle_ceiling_counts_the_descent_targets():
+    eng = get_engine(4)
+    with pytest.raises(OracleCeilingExceeded, match="2508 vectors"):
+        generate_module(eng, 3)
+    with pytest.raises(OracleCeilingExceeded, match="1000 vectors"):
+        generate_module(eng, 3, ceiling=999, nonnegative=True)
 
 
 def test_p0_basis_rank2():
