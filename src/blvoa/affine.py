@@ -15,6 +15,7 @@ with a monotonicity bound that settles all larger loop modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,6 +307,14 @@ class AffineWeight:
     finite: Weight
 
 
+def coroot(alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """(alpha + m delta)^vee = (2 alpha, 2m)/(alpha, alpha) in h oplus Qc
+    coordinates, for a B_l root alpha in integer eps-coordinates: the scale
+    2/(alpha, alpha) is 2 for a short root and 1 for a long one."""
+    scale = 2 // sum(a * a for a in alpha)
+    return tuple(scale * a for a in alpha) + (scale * m,)
+
+
 @dataclass(frozen=True)
 class AffineRealRoot:
     """alpha + m delta with m > 0 and alpha in Delta, or m = 0, alpha in Delta_+."""
@@ -320,11 +329,9 @@ class AffineRealRoot:
         if self.m == 0 and next(c for c in self.alpha.eps if c) < 0:
             raise ValueError("mode 0 requires a positive finite root")
 
-    def coroot_vector(self) -> tuple[Fraction, ...]:
+    def coroot_vector(self) -> tuple[int, ...]:
         """(2 alpha/(alpha,alpha), 2m/(alpha,alpha)) in h oplus Qc coordinates."""
-        norm = inner(self.alpha, self.alpha)
-        scale = Fraction(2) / norm
-        return tuple(scale * c for c in self.alpha.eps) + (scale * self.m,)
+        return coroot(tuple(map(int, self.alpha.eps)), self.m)
 
     def describe(self, rs: RootSystem) -> str:
         for i, a in enumerate(rs.simple_roots, start=1):
@@ -344,19 +351,6 @@ class AffineRealRoot:
         return f"({body})^"
 
 
-def positive_real_roots(rs: RootSystem, m_max: int) -> list[AffineRealRoot]:
-    """All alpha + m delta with 0 <= m <= m_max, in deterministic order."""
-    out: list[AffineRealRoot] = []
-    for alpha in rs.positive_roots:
-        out.append(AffineRealRoot(alpha, 0))
-    for m in range(1, m_max + 1):
-        for alpha in rs.positive_roots:
-            out.append(AffineRealRoot(alpha, m))
-            out.append(AffineRealRoot(-alpha, m))
-    out.sort(key=lambda r: (r.m, r.alpha.eps))
-    return out
-
-
 def shifted_pairing(lam: AffineWeight, root: AffineRealRoot, rs: RootSystem) -> Fraction:
     """<lambda + rho, (alpha + m delta)^vee> with rho = h^vee Lambda_0 + rho_bar."""
     norm = inner(root.alpha, root.alpha)
@@ -366,6 +360,50 @@ def shifted_pairing(lam: AffineWeight, root: AffineRealRoot, rs: RootSystem) -> 
         / norm
         * (root.m * (lam.level + hv) + inner(rs.weyl_vector + lam.finite, root.alpha))
     )
+
+
+def affine_pairings(
+    lam: AffineWeight, rs: RootSystem
+) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
+    """D and {alpha: (A, B)} over the finite roots alpha (integer
+    eps-coordinates, positive then negative), such that
+    <lambda + rho, (alpha + m delta)^vee> = (A m + B) / D for every m.
+
+    The pairing is the coroot vector dotted with (rho_bar + mu, k + h^vee),
+    which D, the common denominator of those coordinates, makes integral.
+    """
+    shift = lam.level + dual_coxeter_number(rs.rank)
+    shifted = (rs.weyl_vector + lam.finite).eps + (shift,)
+    d = math.lcm(*(x.denominator for x in shifted))
+    ints = [int(x * d) for x in shifted]
+    out = {}
+    for alpha in _finite_roots(rs.rank):
+        v = coroot(alpha, 1)
+        b = sum(x * y for x, y in zip(ints[:-1], v))
+        out[alpha] = (ints[-1] * v[-1], b)
+    return d, out
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_roots(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The roots of B_l in integer eps-coordinates, positive ones first."""
+    positive = [tuple(map(int, r.eps)) for r in RootSystem(rank).positive_roots]
+    return tuple(positive + [tuple(-c for c in a) for a in positive])
+
+
+@functools.lru_cache(maxsize=None)
+def _coroot_splits(rank: int) -> dict[tuple[int, ...], tuple[tuple, ...]]:
+    """Every finite coroot x of B_l with its splits x = y + z into two
+    finite coroots y, z (integer eps-coordinates)."""
+    coroots = {coroot(alpha, 0)[:-1] for alpha in _finite_roots(rank)}
+    return {
+        x: tuple(
+            (y, z)
+            for y in coroots
+            if (z := tuple(p - q for p, q in zip(x, y))) in coroots
+        )
+        for x in coroots
+    }
 
 
 @dataclass
@@ -387,49 +425,68 @@ class AdmissibilityResult:
 def is_admissible(
     lam: AffineWeight, rs: RootSystem, m_max: Optional[int] = None
 ) -> AdmissibilityResult:
-    """Certify admissibility of k Lambda_0 + mu.
+    """Certify admissibility of k Lambda_0 + mu, in integer arithmetic.
 
+    The window is the positive real roots alpha + m delta with m <= m_max
+    (m_max >= 0; by default twice the smallest m at which m (k + h^vee)
+    dominates every |(rho_bar + mu, alpha)|).
     (i) <lambda + rho, gamma> avoids -Z_+ for every positive real coroot:
-    scanned for loop modes m <= m_max and certified for m > m_max because
-    m (k + h^vee) then dominates |(rho_bar + mu, alpha)|.
-    (ii) The integral coroots found in the window must span a space of
-    rank l+1, and the simple ones among them (no two collected coroots sum
-    to them) are reported.
+    scanned in the window and certified for m > m_max by that dominance.
+    The pairing is (A m + B) / D for each finite root alpha, so the integral
+    modes of alpha form a residue class mod D / gcd(A, D); only those
+    roots are built.
+    (ii) The integral coroots of the window must span a space of rank l+1;
+    the echelon stops once it reaches l+1, the dimension of h oplus Qc.
+    The simple ones among them (no two collected coroots sum to them) are
+    reported.
     """
     l = rs.rank
-    hv = dual_coxeter_number(l)
-    shift = lam.level + hv
-    if shift <= 0:
+    if lam.level + dual_coxeter_number(l) <= 0:
         raise ValueError("k + h^vee must be positive for the windowed check")
+    if m_max is not None and m_max < 0:
+        raise ValueError("m_max must be nonnegative")
+    d, pairings = affine_pairings(lam, rs)
     if m_max is None:
-        bound = max(
-            abs(inner(rs.weyl_vector + lam.finite, alpha))
-            for alpha in rs.positive_roots
-        )
-        m_max = 2 * max(1, math.ceil(bound / shift))
-    roots = positive_real_roots(rs, m_max)
+        # B / A = (rho_bar + mu, alpha) / (k + h^vee)
+        m_max = 2 * max(1, max(-(-abs(b) // a) for a, b in pairings.values()))
+    integral: list[tuple[int, tuple[int, ...]]] = []   # (m, alpha)
+    for alpha, (a, b) in pairings.items():
+        g = math.gcd(a, d)
+        if b % g:
+            continue
+        step = d // g
+        residue = (-b // g) * pow(a // g, -1, step) % step
+        lo = 0 if next(c for c in alpha if c) > 0 else 1
+        start = lo + (residue - lo) % step
+        integral.extend((m, alpha) for m in range(start, m_max + 1, step))
+    integral.sort()
     violations: list[tuple[AffineRealRoot, Fraction]] = []
-    integral: list[AffineRealRoot] = []
-    for r in roots:
-        p = shifted_pairing(lam, r, rs)
-        if p.denominator == 1:
-            if p <= 0:
-                violations.append((r, p))
-            integral.append(r)
-    vectors = [r.coroot_vector() for r in integral]
     span = Echelon()
-    for v in vectors:
-        span.insert(dict(enumerate(v)))
-    vec_set = {v: r for v, r in zip(vectors, integral)}
-    simple = [
-        r
-        for v, r in vec_set.items()
-        if not any(
-            w != v and tuple(a - b for a, b in zip(v, w)) in vec_set
-            for w in vec_set
+    by_finite: dict[tuple[int, ...], dict[int, tuple]] = {}
+    for m, alpha in integral:
+        a, b = pairings[alpha]
+        if a * m + b <= 0:
+            value = Fraction((a * m + b) // d)
+            violations.append((AffineRealRoot(Weight(alpha), m), value))
+        v = coroot(alpha, m)
+        if span.dim <= l:
+            span.insert(dict(enumerate(v)))
+        by_finite.setdefault(v[:-1], {})[v[-1]] = (m, alpha)
+    # v = (x, t) is a sum of two collected coroots iff x = y + z for finite
+    # coroots y, z collected with delta-parts s and t - s
+    simple = []
+    for x, modes in by_finite.items():
+        splits = [
+            (by_finite[y], by_finite[z])
+            for y, z in _coroot_splits(l)[x]
+            if y in by_finite and z in by_finite
+        ]
+        simple.extend(
+            key
+            for t, key in modes.items()
+            if not any(t - s in zs for ys, zs in splits for s in ys)
         )
-    ]
-    simple.sort(key=lambda r: (r.m, r.alpha.eps))
+    simple.sort()
     ok = not violations and span.dim == l + 1
     return AdmissibilityResult(
         ok=ok,
@@ -437,6 +494,6 @@ def is_admissible(
         m_max=m_max,
         integral_count=len(integral),
         span_rank=span.dim,
-        simple_coroots=simple,
+        simple_coroots=[AffineRealRoot(Weight(alpha), m) for m, alpha in simple],
         violations=violations,
     )

@@ -261,7 +261,10 @@ def cmd_admissible(args) -> int:
     rs = build_root_system(args.rank)
     mu = parse_weight(args.weight, args.rank)
     lam = AffineWeight(frac(args.level), mu)
-    result = is_admissible(lam, rs, m_max=args.mmax)
+    try:
+        result = is_admissible(lam, rs, m_max=args.mmax)
+    except ValueError as exc:   # k + h^vee <= 0, or --mmax < 0
+        raise UsageError(str(exc)) from exc
     names = result.simple_names(rs)
     lines = [
         f"admissible: {str(result.ok).lower()}; Pi_check: {{{', '.join(names)}}}",

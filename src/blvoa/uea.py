@@ -396,6 +396,14 @@ def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+def _powers(x: int, k: int) -> list[int]:
+    """[1, x, x^2, ..., x^k]."""
+    out = [1]
+    for _ in range(k):
+        out.append(out[-1] * x)
+    return out
+
+
 class CartanPolynomial(Sparse):
     """Polynomial in the commuting variables h_1..h_l over the rationals.
 
@@ -453,15 +461,32 @@ class CartanPolynomial(Sparse):
         return CartanPolynomial.constant(self.rank, other)
 
     def evaluate(self, fundamental: Sequence[Rat]) -> Fraction:
-        """Value at h_i = fundamental[i-1]."""
+        """Value at h_i = fundamental[i-1], summed in integers.
+
+        With h_i = n_i / d over a common denominator d, C the common
+        denominator of the coefficients and top the degree, a term c h^p is
+        (c C) n^p d^(top - |p|) / (C d^top) with c C an integer.  Each power
+        n_i^j and d^j is computed once; zero exponents are skipped.
+        """
+        if not self.terms:
+            return Fraction(0)
         vals = [Fraction(v) for v in fundamental]
-        total = Fraction(0)
+        d = math.lcm(*(v.denominator for v in vals))
+        cden = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = max(sum(exps) for exps in self.terms)
+        d_pow = _powers(d, top)
+        tables = [
+            _powers(v.numerator * (d // v.denominator), max(column))
+            for v, column in zip(vals, zip(*self.terms))
+        ]
+        total = 0
         for exps, c in self.terms.items():
-            term = c
-            for v, p in zip(vals, exps):
-                term *= v**p
+            term = c.numerator * (cden // c.denominator) * d_pow[top - sum(exps)]
+            for table, p in zip(tables, exps):
+                if p:
+                    term *= table[p]
             total += term
-        return total
+        return Fraction(total, cden * d_pow[top])
 
     def evaluate_weight(self, mu: Weight) -> Fraction:
         return self.evaluate(mu.fundamental())

@@ -1,18 +1,23 @@
 """Affinization: brackets with the central term, vacuum-module action,
 singular-vector verification, the U(g) image map, and admissibility."""
 
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import get_engine, get_lie
 
 from blvoa.affine import (
+    AdmissibilityResult,
     AffineRealRoot,
     AffineWeight,
     VacuumModule,
     affine_bracket,
+    affine_pairings,
     build_singular_candidate,
     check_singular,
     dual_coxeter_number,
@@ -21,8 +26,14 @@ from blvoa.affine import (
     quadratic_creation_term,
     shifted_pairing,
 )
-from blvoa.classify import classify_finite_dim, mu_s, mu_s_prime
-from blvoa.rootsys import Root, Weight, inner
+from blvoa.classify import (
+    classify_category_o,
+    classify_finite_dim,
+    mu_s,
+    mu_s_prime,
+)
+from blvoa.rootsys import Root, RootSystem, Weight, inner, weight_from_fundamental
+from blvoa.uea import Echelon
 from blvoa.zero_weight import singular_image
 
 
@@ -246,9 +257,10 @@ def test_admissibility_rejects_too_negative_level():
 
 def test_affine_real_root_coroot_vector():
     r = AffineRealRoot(Weight([-1, 0]), 1)
-    assert r.coroot_vector() == (Fraction(-2), Fraction(0), Fraction(2))
-    long_r = AffineRealRoot(Weight([1, -1]), 0)
-    assert long_r.coroot_vector() == (Fraction(1), Fraction(-1), Fraction(0))
+    assert r.coroot_vector() == (-2, 0, 2)
+    long_r = AffineRealRoot(Weight([1, -1]), 3)
+    assert long_r.coroot_vector() == (1, -1, 3)
+    assert all(type(c) is int for c in r.coroot_vector() + long_r.coroot_vector())
 
 
 def test_affine_real_root_validation():
@@ -258,3 +270,148 @@ def test_affine_real_root_validation():
         AffineRealRoot(Weight([1, 0]), -1)
     with pytest.raises(ValueError):
         AffineRealRoot(Weight([2, 0]), 1)    # not a root
+
+
+def test_admissibility_rejects_negative_window():
+    rs = get_lie(2).rootsys
+    lam = AffineWeight(Fraction(-1, 2), Weight([0, 0]))
+    with pytest.raises(ValueError, match="m_max"):
+        is_admissible(lam, rs, m_max=-1)
+    assert is_admissible(lam, rs, m_max=0).m_max == 0
+
+
+# ---------------------------------------------------------------------------
+# the Fraction certificate the integer one replaced, kept as its reference
+# ---------------------------------------------------------------------------
+
+
+def positive_real_roots(rs: RootSystem, m_max: int) -> list[AffineRealRoot]:
+    """All alpha + m delta with 0 <= m <= m_max, in deterministic order."""
+    out: list[AffineRealRoot] = []
+    for alpha in rs.positive_roots:
+        out.append(AffineRealRoot(alpha, 0))
+    for m in range(1, m_max + 1):
+        for alpha in rs.positive_roots:
+            out.append(AffineRealRoot(alpha, m))
+            out.append(AffineRealRoot(-alpha, m))
+    out.sort(key=lambda r: (r.m, r.alpha.eps))
+    return out
+
+
+def fraction_coroot_vector(r: AffineRealRoot) -> tuple[Fraction, ...]:
+    scale = Fraction(2) / inner(r.alpha, r.alpha)
+    return tuple(scale * c for c in r.alpha.eps) + (scale * r.m,)
+
+
+def reference_is_admissible(lam, rs, m_max=None) -> AdmissibilityResult:
+    """Window scan over every root in Fraction arithmetic, a full-rank
+    echelon and the pairwise simple-coroot scan."""
+    l = rs.rank
+    hv = dual_coxeter_number(l)
+    shift = lam.level + hv
+    if shift <= 0:
+        raise ValueError("k + h^vee must be positive for the windowed check")
+    if m_max is None:
+        bound = max(
+            abs(inner(rs.weyl_vector + lam.finite, alpha))
+            for alpha in rs.positive_roots
+        )
+        m_max = 2 * max(1, math.ceil(bound / shift))
+    roots = positive_real_roots(rs, m_max)
+    violations = []
+    integral = []
+    for r in roots:
+        p = shifted_pairing(lam, r, rs)
+        if p.denominator == 1:
+            if p <= 0:
+                violations.append((r, p))
+            integral.append(r)
+    vectors = [fraction_coroot_vector(r) for r in integral]
+    span = Echelon()
+    for v in vectors:
+        span.insert(dict(enumerate(v)))
+    vec_set = {v: r for v, r in zip(vectors, integral)}
+    simple = [
+        r
+        for v, r in vec_set.items()
+        if not any(
+            w != v and tuple(a - b for a, b in zip(v, w)) in vec_set
+            for w in vec_set
+        )
+    ]
+    simple.sort(key=lambda r: (r.m, r.alpha.eps))
+    ok = not violations and span.dim == l + 1
+    return AdmissibilityResult(
+        ok=ok,
+        weight=lam,
+        m_max=m_max,
+        integral_count=len(integral),
+        span_rank=span.dim,
+        simple_coroots=simple,
+        violations=violations,
+    )
+
+
+def _pool_cases():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    for argv in json.loads(path.read_text())["admissible_pool"]:
+        flag = dict(zip(argv[1::2], argv[2::2]))
+        rank = int(flag["--rank"])
+        fundamental = [Fraction(c) for c in flag["--weight"].split(",")]
+        weight = weight_from_fundamental(fundamental)
+        yield rank, AffineWeight(Fraction(flag["--level"]), weight), None
+
+
+def _category_o_cases():
+    for l, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)):
+        result = classify_category_o(get_lie(l), n)
+        for e in result.entries:
+            yield l, AffineWeight(result.level, e.weight), None
+
+
+def _random_cases(count=160, seed=2024):
+    rng = random.Random(seed)
+    for _ in range(count):
+        l = rng.randint(2, 4)
+        shift = Fraction(rng.randint(2, 12), rng.choice([1, 2, 3]))
+        level = shift - dual_coxeter_number(l)
+        den = rng.choice([1, 2, 2, 3])
+        weight = weight_from_fundamental(
+            [Fraction(rng.randint(-4, 4), den) for _ in range(l)]
+        )
+        yield l, AffineWeight(level, weight), rng.choice([None, 0, 1, 2, 3])
+
+
+def _differential_cases():
+    seen = set()
+    for case in (*_pool_cases(), *_category_o_cases(), *_random_cases()):
+        key = (case[0], case[1].level, case[1].finite.eps, case[2])
+        if key not in seen:
+            seen.add(key)
+            yield case
+
+
+def test_is_admissible_matches_fraction_reference():
+    cases = list(_differential_cases())
+    assert len(cases) >= 160 + 150
+    seen_ok = seen_violation = 0
+    for l, lam, m_max in cases:
+        rs = get_lie(l).rootsys
+        got = is_admissible(lam, rs, m_max)
+        want = reference_is_admissible(lam, rs, m_max)
+        where = (l, lam, m_max)
+        assert got.ok == want.ok, where
+        assert got.m_max == want.m_max, where
+        assert got.integral_count == want.integral_count, where
+        assert got.span_rank == want.span_rank, where
+        assert got.simple_coroots == want.simple_coroots, where
+        assert got.violations == want.violations, where
+        seen_ok += got.ok
+        seen_violation += bool(got.violations)
+        # the affine pairing (A m + B) / D at every window root
+        d, pairings = affine_pairings(lam, rs)
+        for r in positive_real_roots(rs, got.m_max):
+            a, b = pairings[tuple(map(int, r.alpha.eps))]
+            assert Fraction(a * r.m + b, d) == shifted_pairing(lam, r, rs), where
+    # both outcomes are exercised, so agreement is not vacuous
+    assert seen_ok >= 50 and seen_violation >= 50

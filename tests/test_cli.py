@@ -195,6 +195,22 @@ def test_mmax_override(capsys):
     assert "m <= 6" in out
 
 
+# k + h^vee = -6 leaves no loop-mode window to certify, and a window
+# needs m_max >= 0: both are usage errors, not tracebacks
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--level", "-9", "--weight", "-3/2,1"), "k + h^vee must be positive"),
+        (("--level", "-1/2", "--weight", "0,0", "--mmax", "-1"), "m_max"),
+    ],
+)
+def test_admissible_rejects_bad_level_and_window(capsys, argv, message):
+    code, out, err = run(capsys, "admissible", "--rank", "2", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and message in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -430,6 +430,46 @@ def test_poly_eval_on_weight():
     assert p.evaluate_weight(mu) == 6
 
 
+def naive_evaluate(poly, fundamental):
+    """Term by term in Fraction arithmetic, each power taken afresh."""
+    vals = [Fraction(v) for v in fundamental]
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = c
+        for v, p in zip(vals, exps):
+            term *= v**p
+        total += term
+    return total
+
+
+def test_poly_evaluate_edge_cases():
+    h1 = CartanPolynomial.variable(2, 1)
+    assert CartanPolynomial(2, {}).evaluate([1, 2]) == 0
+    c = Fraction(-7, 3)
+    assert CartanPolynomial.constant(2, c).evaluate([0, 5]) == c
+    p = Fraction(1, 6) * h1 * h1 - Fraction(5, 4) * CartanPolynomial.variable(2, 2)
+    for vals in ([0, 0], [Fraction(-3, 2), Fraction(2, 3)], [7, Fraction(-1, 5)]):
+        got = p.evaluate(vals)
+        assert type(got) is Fraction and got == naive_evaluate(p, vals)
+
+
+# the q prefilter of classify at n >= 2, on every triangular candidate
+@pytest.mark.parametrize("l,n", [(4, 2), (3, 3)])
+def test_poly_evaluate_matches_naive_on_candidates(l, n):
+    from blvoa.classify import solve_triangular
+    from blvoa.zero_weight import explicit_q
+
+    q = explicit_q(get_lie(l), n)
+    candidates = solve_triangular(l, n)
+    assert len(candidates) > 200
+    zeros = 0
+    for w in candidates:
+        got = q.evaluate_weight(w)
+        assert got == naive_evaluate(q, w.fundamental())
+        zeros += got == 0
+    assert zeros == {(4, 2): 80, (3, 3): 84}[(l, n)]
+
+
 def test_poly_span_tools():
     h1 = CartanPolynomial.variable(2, 1)
     h2 = CartanPolynomial.variable(2, 2)
