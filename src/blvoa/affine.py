@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .liealg import LieAlgebra, add_into
 from .rootsys import Root, RootSystem, Weight, eps_root, inner
@@ -27,13 +27,14 @@ from .uea import (
     DEFAULT_TERM_GUARD,
     UEA,
     Echelon,
+    Rat,
     Sparse,
     TermGuardExceeded,
     UEAElement,
     _common_grading,
+    exact,
 )
 
-Rat = Union[int, Fraction]
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
 
 
@@ -49,15 +50,14 @@ def level_of(rank: int, n: int) -> Fraction:
 
 def affine_bracket(
     lie: LieAlgebra, xm: tuple[int, int], yn: tuple[int, int]
-) -> tuple[dict[tuple[int, int], Fraction], Fraction]:
+) -> tuple[dict[tuple[int, int], int], Rat]:
     """[x(m), y(n)] as (loop terms {(index, m+n): coeff}, central coefficient)."""
     xi, m = xm
     yi, n = yn
     loop = {(k, m + n): c for k, c in lie.bracket(xi, yi).items()}
-    central = Fraction(0)
-    if m + n == 0:
-        central = m * lie.invariant_form(lie.basis[xi], lie.basis[yi])
-    return loop, central
+    if m + n:
+        return loop, 0
+    return loop, m * lie.invariant_form(lie.basis[xi], lie.basis[yi])
 
 
 class VermaVector(Sparse):
@@ -65,11 +65,11 @@ class VermaVector(Sparse):
 
     __slots__ = ("module",)
 
-    def __init__(self, module: "VacuumModule", terms: dict[CWord, Fraction]):
+    def __init__(self, module: "VacuumModule", terms: dict[CWord, Rat]):
         self.module = module
         super().__init__(terms)
 
-    def _new(self, terms: dict[CWord, Fraction]) -> "VermaVector":
+    def _new(self, terms: dict[CWord, Rat]) -> "VermaVector":
         return VermaVector(self.module, terms)
 
     def _space(self) -> tuple[int, Fraction]:
@@ -116,16 +116,16 @@ class VacuumModule:
         self.lie = lie
         self.level = Fraction(level)
         self.term_guard = term_guard
-        self._apply_cache: dict[tuple[int, int, CWord], dict[CWord, Fraction]] = {}
+        self._apply_cache: dict[tuple[int, int, CWord], dict[CWord, Rat]] = {}
 
     def vacuum(self) -> VermaVector:
-        return VermaVector(self, {(): Fraction(1)})
+        return VermaVector(self, {(): 1})
 
     def zero(self) -> VermaVector:
         return VermaVector(self, {})
 
     def element(self, terms: dict[CWord, Rat]) -> VermaVector:
-        return VermaVector(self, {w: Fraction(c) for w, c in terms.items()})
+        return VermaVector(self, {w: exact(c) for w, c in terms.items()})
 
     def apply_central(self, v: VermaVector) -> VermaVector:
         return self.level * v
@@ -136,21 +136,21 @@ class VacuumModule:
         Raises TermGuardExceeded once the result holds more than term_guard
         words.
         """
-        out: dict[CWord, Fraction] = {}
+        out: dict[CWord, Rat] = {}
         budget = self.term_guard
         for word, c in v.terms.items():
             for w2, c2 in self._apply_letter(idx, mode, word).items():
                 add_into(out, w2, c * c2)
                 if len(out) > budget:
-                    raise TermGuardExceeded("vacuum-module term guard exceeded")
+                    raise TermGuardExceeded("N(k, 0) apply", len(out), budget)
         return VermaVector(self, out)
 
     def _apply_letter(
         self, idx: int, mode: int, word: CWord
-    ) -> dict[CWord, Fraction]:
+    ) -> dict[CWord, Rat]:
         if not word:
             if mode < 0:
-                return {((mode, idx),): Fraction(1)}
+                return {((mode, idx),): 1}
             return {}
         key = (idx, mode, word)
         cached = self._apply_cache.get(key)
@@ -158,11 +158,11 @@ class VacuumModule:
             return cached
         m0, i0 = word[0]
         if mode < 0 and (mode, idx) <= (m0, i0):
-            result = {((mode, idx),) + word: Fraction(1)}
+            result = {((mode, idx),) + word: 1}
             self._apply_cache[key] = result
             return result
         rest = word[1:]
-        out: dict[CWord, Fraction] = {}
+        out: dict[CWord, Rat] = {}
         # head * (x(mode) . rest)
         for w2, c2 in self._apply_letter(idx, mode, rest).items():
             for w3, c3 in self._apply_letter(i0, m0, w2).items():
@@ -188,7 +188,7 @@ class VacuumModule:
                 if mode >= 0:
                     raise ValueError("creation words need negative modes")
                 piece = self.apply(idx, mode, piece)
-            out = out + Fraction(c) * piece
+            out = out + c * piece
         return out
 
 
@@ -197,20 +197,20 @@ class VacuumModule:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Fraction]:
+def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Rat]:
     """-1/4 e_{eps_1}(-1)^2 + sum_j e_{eps_1-eps_j}(-1) e_{eps_1+eps_j}(-1).
 
     All factors commute, so the words need no correction terms.
     """
     l = lie.rank
-    out: dict[CWord, Fraction] = {}
+    out: dict[CWord, Rat] = {}
     i1 = lie.e(eps_root(l, 1)).index
     out[((-1, i1), (-1, i1))] = Fraction(-1, 4)
     for j in range(2, l + 1):
         minus = lie.e(eps_root(l, 1, j, -1)).index
         plus = lie.e(eps_root(l, 1, j, 1)).index
         pair = tuple(sorted([(-1, minus), (-1, plus)]))
-        add_into(out, pair, Fraction(1))
+        add_into(out, pair, 1)
     return out
 
 

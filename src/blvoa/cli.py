@@ -126,21 +126,30 @@ def build_parser() -> _Parser:
     return p
 
 
+def at_least_one(value: int, name: str) -> int:
+    if value < 1:
+        raise UsageError(f"{name} must be at least 1")
+    return value
+
+
 def default_guard(args) -> int:
     if args.guard is not None:
-        return args.guard
+        return at_least_one(args.guard, "--guard")
     env = os.environ.get(GUARD_ENV)
     if env:
         try:
-            return int(env)
+            return at_least_one(int(env), GUARD_ENV)
         except ValueError as exc:
             raise UsageError(f"bad {GUARD_ENV} value {env!r}") from exc
     return DEFAULT_TERM_GUARD
 
 
-def check_rank(rank: int) -> None:
-    if rank < 2:
+def check_args(args) -> None:
+    """Rank at least 2 and, for the commands that take --n, n at least 1."""
+    if args.rank < 2:
         raise UsageError("rank must be at least 2")
+    if getattr(args, "n", 1) < 1:
+        raise UsageError("n must be at least 1")
 
 
 def emit(args, level: Fraction, status: str, lines: list[str], entries=()) -> None:
@@ -176,9 +185,7 @@ def fmt_weight(w) -> str:
 
 
 def cmd_classify(args) -> int:
-    check_rank(args.rank)
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
+    check_args(args)
     lie = LieAlgebra(args.rank)
     rs = lie.rootsys
     want_o = args.category_o or not args.finite_dim
@@ -212,9 +219,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check_singular(args) -> int:
-    check_rank(args.rank)
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
+    check_args(args)
     lie = LieAlgebra(args.rank)
     level = frac(args.level) if args.level is not None else None
     report = check_singular(lie, args.n, level, default_guard(args))
@@ -228,12 +233,11 @@ def cmd_check_singular(args) -> int:
 
 
 def cmd_p0(args) -> int:
-    check_rank(args.rank)
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
+    check_args(args)
     lie = LieAlgebra(args.rank)
     engine = UEA(lie, term_guard=default_guard(args))
-    oracle = p0_basis(engine, args.n, ceiling=args.oracle_ceiling)
+    ceiling = at_least_one(args.oracle_ceiling, "--oracle-ceiling")
+    oracle = p0_basis(engine, args.n, ceiling=ceiling)
     lines = [f"oracle span dimension {len(oracle)}"]
     for p in oracle:
         lines.append(f"  {p}")
@@ -257,7 +261,7 @@ def cmd_p0(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    check_rank(args.rank)
+    check_args(args)
     rs = build_root_system(args.rank)
     mu = parse_weight(args.weight, args.rank)
     lam = AffineWeight(frac(args.level), mu)
@@ -276,7 +280,7 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    check_rank(args.rank)
+    check_args(args)
     rs = build_root_system(args.rank)
     mu = parse_weight(args.weight, args.rank)
     if not rs.is_dominant_integral(mu):
@@ -287,7 +291,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    check_rank(args.rank)
+    check_args(args)
     lie = LieAlgebra(args.rank)
     engine = UEA(lie, term_guard=default_guard(args))
     bound = args.n if args.n > 1 else 3

@@ -17,6 +17,7 @@ product.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -35,9 +36,20 @@ MIXED = "mixed"
 class TermGuardExceeded(RuntimeError):
     """Raised when a normalization exceeds the configured term budget."""
 
+    def __init__(self, phase: str, reached: int, guard: int):
+        super().__init__(f"{phase} reached {reached} terms, over the guard {guard}")
+
+
+def exact(c: Rat) -> Rat:
+    """c itself if it is an int or a Fraction; anything else is a TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"{c!r} is not an int or a Fraction")
+    return c
+
 
 class Sparse:
-    """A finite map from keys to nonzero rationals, with vector arithmetic.
+    """A finite map from keys to nonzero coefficients, with vector
+    arithmetic; a coefficient is an int or a Fraction and is never converted.
 
     A subclass fixes the space its elements live in: ``_new`` builds an
     element of the same space and ``_space`` is what, besides the terms,
@@ -74,8 +86,8 @@ class Sparse:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, scalar: Rat):
-        s = Fraction(scalar)
-        return self._new({k: s * c for k, c in self.terms.items()})
+        exact(scalar)
+        return self._new({k: scalar * c for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -142,11 +154,11 @@ class UEAElement(Sparse):
 
     __slots__ = ("engine",)
 
-    def __init__(self, engine: "UEA", terms: dict[Monomial, Fraction]):
+    def __init__(self, engine: "UEA", terms: dict[Monomial, Rat]):
         self.engine = engine
         super().__init__(terms)
 
-    def _new(self, terms: dict[Monomial, Fraction]) -> "UEAElement":
+    def _new(self, terms: dict[Monomial, Rat]) -> "UEAElement":
         return UEAElement(self.engine, terms)
 
     def _space(self) -> int:
@@ -197,14 +209,14 @@ class UEA:
         return UEAElement(self, {})
 
     def one(self) -> UEAElement:
-        return UEAElement(self, {(): Fraction(1)})
+        return UEAElement(self, {(): 1})
 
     def gen(self, b: BasisElement, power: int = 1) -> UEAElement:
         if power < 0:
             raise ValueError("negative power")
         if power == 0:
             return self.one()
-        return UEAElement(self, {((b.index, power),): Fraction(1)})
+        return UEAElement(self, {((b.index, power),): 1})
 
     def e(self, alpha: Root, power: int = 1) -> UEAElement:
         return self.gen(self.lie.e(alpha), power)
@@ -216,7 +228,7 @@ class UEA:
         return self.gen(self.lie.h(i), power)
 
     def element(self, terms: dict[Monomial, Rat]) -> UEAElement:
-        return UEAElement(self, {m: Fraction(c) for m, c in terms.items()})
+        return UEAElement(self, {m: exact(c) for m, c in terms.items()})
 
     def from_cartan(self, poly: "CartanPolynomial") -> UEAElement:
         """The image of a polynomial in h_1..h_l inside U(g)."""
@@ -231,7 +243,7 @@ class UEA:
     # -- multiplication ------------------------------------------------------
 
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rat] = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 c12 = c1 * c2
@@ -283,9 +295,7 @@ class UEA:
 
     def _guard(self, out: dict) -> dict:
         if len(out) > self.term_guard:
-            raise TermGuardExceeded(
-                f"normalization exceeded {self.term_guard} terms"
-            )
+            raise TermGuardExceeded("U(g) normalization", len(out), self.term_guard)
         return out
 
     # -- adjoint action -------------------------------------------------------
@@ -319,9 +329,7 @@ class UEA:
         m = len(factors)
         total = self.zero()
         for ks in _compositions(n, m):
-            coeff = Fraction(math.factorial(n))
-            for k in ks:
-                coeff /= math.factorial(k)
+            coeff = math.factorial(n) // math.prod(map(math.factorial, ks))
             piece = self.one()
             for k, y in zip(ks, factors):
                 piece = self.multiply(piece, self.ad_power(x, k, y))
@@ -359,7 +367,7 @@ class UEA:
         if w == MIXED or not w.is_zero():
             raise ValueError("element does not have weight zero")
         l = self.lie.rank
-        coeffs: dict[tuple[int, ...], Fraction] = {}
+        coeffs: dict[tuple[int, ...], Rat] = {}
         for mono, c in r.terms.items():
             if any(idx >= self.e_start for idx, _ in mono):
                 continue
@@ -416,9 +424,9 @@ class CartanPolynomial(Sparse):
 
     def __init__(self, rank: int, coeffs: dict[tuple[int, ...], Rat]):
         self.rank = rank
-        super().__init__({e: Fraction(c) for e, c in coeffs.items()})
+        super().__init__({e: exact(c) for e, c in coeffs.items()})
 
-    def _new(self, terms: dict[tuple[int, ...], Fraction]) -> "CartanPolynomial":
+    def _new(self, terms: dict[tuple[int, ...], Rat]) -> "CartanPolynomial":
         return CartanPolynomial(self.rank, terms)
 
     def _space(self) -> int:
@@ -426,14 +434,12 @@ class CartanPolynomial(Sparse):
 
     @classmethod
     def constant(cls, rank: int, c: Rat) -> "CartanPolynomial":
-        return cls(rank, {(0,) * rank: Fraction(c)})
+        return cls(rank, {(0,) * rank: c})
 
     @classmethod
     def variable(cls, rank: int, i: int) -> "CartanPolynomial":
         """h_i, 1-based."""
-        exps = [0] * rank
-        exps[i - 1] = 1
-        return cls(rank, {tuple(exps): Fraction(1)})
+        return cls(rank, {tuple(int(j == i - 1) for j in range(rank)): 1})
 
     def __add__(self, other) -> "CartanPolynomial":
         return super().__add__(self._coerce(other))
@@ -447,9 +453,9 @@ class CartanPolynomial(Sparse):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "CartanPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CartanPolynomial):
             return super().__mul__(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Rat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 add_into(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
@@ -468,9 +474,9 @@ class CartanPolynomial(Sparse):
         (c C) n^p d^(top - |p|) / (C d^top) with c C an integer.  Each power
         n_i^j and d^j is computed once; zero exponents are skipped.
         """
+        vals = [exact(v) for v in fundamental]
         if not self.terms:
             return Fraction(0)
-        vals = [Fraction(v) for v in fundamental]
         d = math.lcm(*(v.denominator for v in vals))
         cden = math.lcm(*(c.denominator for c in self.terms.values()))
         top = max(sum(exps) for exps in self.terms)
@@ -493,12 +499,11 @@ class CartanPolynomial(Sparse):
 
     def shift(self, deltas: Sequence[Rat]) -> "CartanPolynomial":
         """Substitute h_i |-> h_i + deltas[i-1]."""
-        ds = [Fraction(d) for d in deltas]
         out = CartanPolynomial(self.rank, {})
         for exps, c in self.terms.items():
             term = CartanPolynomial.constant(self.rank, c)
             for i, p in enumerate(exps):
-                base = CartanPolynomial.variable(self.rank, i + 1) + ds[i]
+                base = CartanPolynomial.variable(self.rank, i + 1) + deltas[i]
                 for _ in range(p):
                     term = term * base
             out = out + term
@@ -574,7 +579,7 @@ def falling(p: CartanPolynomial, count: int, start: Rat = 0) -> CartanPolynomial
     """(p - start)(p - start - 1) ... (p - start - count + 1)."""
     out = CartanPolynomial.constant(p.rank, 1)
     for t in range(count):
-        out = out * (p - (Fraction(start) + t))
+        out = out * (p - (start + t))
     return out
 
 
@@ -615,9 +620,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         a_plus = eps_root(l, 1, i, 1)
         a_minus = eps_root(l, 1, i, -1)
         lhs = engine.ad_power(engine.e(eps_root(l, 1)), 2 * k, engine.f(a_plus, k))
-        rhs = (
-            Fraction((-1) ** k) * math.factorial(2 * k) * engine.e(a_minus, k)
-        )
+        rhs = (-1) ** k * math.factorial(2 * k) * engine.e(a_minus, k)
         return lhs == rhs
     if ident == 4:
         k, j, i = params["k"], params["j"], params["i"]
@@ -641,7 +644,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         lhs = engine.ad_power(
             engine.e(eps_root(l, 1, i, 1)), k, engine.f(eps_root(l, 1, 2, 1), m)
         )
-        coeff = Fraction(math.factorial(m), math.factorial(m - k))
+        coeff = math.factorial(m) // math.factorial(m - k)
         rhs = coeff * engine.multiply(
             engine.f(eps_root(l, 1, 2, 1), m - k), engine.f(eps_root(l, 2, i, -1), k)
         )
@@ -658,7 +661,7 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         alpha, k, m = params["alpha"], params["k"], params["m"]
         need(k <= m, "identity 10 needs k <= m")
         lhs = red(engine.ad_power(engine.e(alpha), k, engine.f(alpha, m)))
-        coeff = Fraction(math.factorial(m), math.factorial(m - k))
+        coeff = math.factorial(m) // math.factorial(m - k)
         tail = falling(h_alpha_poly(engine.lie, alpha), k, start=m - k)
         rhs = coeff * engine.multiply(
             engine.f(alpha, m - k), engine.from_cartan(tail)
@@ -688,14 +691,8 @@ def check_commuting_monomials(
     commuting) and equal root sums, both (Y1)_L Y2 - Y1*Y2 and
     (Y2)_L Y1 - (-1)^m Y1*Y2 must lie in U(g)n_+.
     """
-    l = engine.lie.rank
-    total_b = Weight([0] * l)
-    for b in betas:
-        total_b = total_b + b
-    total_g = Weight([0] * l)
-    for g in gammas:
-        total_g = total_g + g
-    if total_b != total_g:
+    zero = Weight([0] * engine.lie.rank)
+    if sum(betas, zero) != sum(gammas, zero):
         raise ValueError("root sums differ")
     e_letters = [engine.e(b) for b in betas]
     f_letters = [engine.f(g) for g in gammas]
@@ -704,17 +701,13 @@ def check_commuting_monomials(
             for j in range(i + 1, len(xs)):
                 if not engine.ad(xs[i], xs[j]).is_zero():
                     raise ValueError("letters do not commute")
-    y1 = engine.one()
-    for x in e_letters:
-        y1 = engine.multiply(y1, x)
-    y2 = engine.one()
-    for x in f_letters:
-        y2 = engine.multiply(y2, x)
+    y1 = functools.reduce(engine.multiply, e_letters, engine.one())
+    y2 = functools.reduce(engine.multiply, f_letters, engine.one())
     prod = engine.multiply(y1, y2)
     lhs1 = engine.ad_word(e_letters, y2)
     if not engine.reduce_mod_nplus(lhs1 - prod).is_zero():
         return False
-    sign = Fraction((-1) ** len(gammas))
+    sign = (-1) ** len(gammas)
     lhs2 = engine.ad_word(f_letters, y1)
     return engine.reduce_mod_nplus(lhs2 - sign * prod).is_zero()
 

@@ -94,6 +94,18 @@ def test_apply_respects_bracket(l):
         assert lhs == rhs
 
 
+def test_creation_letters_give_int_coefficients():
+    lie = get_lie(3)
+    mod = VacuumModule(lie, 2)
+    creation = [b.index for b in lie.basis]
+    rng = random.Random(5)
+    v = mod.vacuum()
+    for _ in range(6):
+        v = mod.apply(rng.choice(creation), -rng.randint(1, 2), v)
+        assert all(type(c) is int for c in v.terms.values())
+    assert not v.is_zero()
+
+
 def test_central_element_commutes():
     lie = get_lie(2)
     mod = VacuumModule(lie, Fraction(7, 3))

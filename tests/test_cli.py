@@ -128,7 +128,7 @@ def test_json_schema_and_round_trip(capsys):
 def test_guard_flag_exits_2(capsys):
     code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--guard", "2")
     assert code == 2
-    assert "guard" in err
+    assert "U(g) normalization reached 3 terms, over the guard 2" in err
 
 
 def test_guard_env(capsys, monkeypatch):
@@ -144,13 +144,48 @@ def test_check_singular_guard_exits_2(capsys):
         capsys, "check-singular", "--rank", "2", "--n", "2", "--guard", "1"
     )
     assert code == 2
-    assert "guard" in err
+    assert "N(k, 0) apply reached 2 terms, over the guard 1" in err
 
 
 def test_check_singular_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("BLVOA_GUARD", "1")
     code, _, _ = run(capsys, "check-singular", "--rank", "2", "--n", "2")
     assert code == 2
+
+
+# a guard or ceiling below 1 can bound nothing: a usage error, not exit 2
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("p0", "--n", "1", "--guard", "0"), "--guard"),
+        (("p0", "--n", "1", "--guard", "-5"), "--guard"),
+        (("check-singular", "--n", "1", "--guard", "-1"), "--guard"),
+        (("p0", "--n", "1", "--oracle-ceiling", "-1"), "--oracle-ceiling"),
+        (("p0", "--n", "1", "--oracle-ceiling", "0"), "--oracle-ceiling"),
+    ],
+)
+def test_guard_and_ceiling_below_1_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--rank", "2", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == f"usage error: {message} must be at least 1\n"
+
+
+def test_guard_env_below_1_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BLVOA_GUARD", "-5")
+    code, out, err = run(capsys, "p0", "--rank", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: BLVOA_GUARD must be at least 1\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_identities_rejects_n_below_1(capsys, n):
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "identities", "--rank", "2", "--n", n, *extra)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: n must be at least 1\n"
 
 
 def test_oracle_ceiling_exits_2(capsys):

@@ -584,3 +584,45 @@ def test_sparse_vector_laws(make):
     assert a == same and hash(a) == hash(same)
     assert elsewhere.terms == a.terms
     assert a != elsewhere
+
+
+# coefficients stay the exact type they were made as: products of
+# generators never leave the integers, and a float is refused, not converted
+@pytest.mark.parametrize("l", [2, 3])
+def test_generator_products_have_int_coefficients(l):
+    eng = get_engine(l)
+    roots = eng.lie.rootsys.positive_roots
+    for a in roots:
+        for b in roots:
+            prod = eng.multiply(eng.f(a), eng.e(b))
+            assert all(type(c) is int for c in prod.terms.values())
+        for b in roots:
+            for x, y in ((eng.e(a), eng.f(b, 2)), (eng.f(a), eng.e(b, 2))):
+                v = eng.ad_power(x, 3, y)
+                assert all(type(c) is int for c in v.terms.values())
+
+
+def test_floats_are_refused():
+    eng = get_engine(2)
+    mod = VacuumModule(get_lie(2), Fraction(1, 2))
+    p = CartanPolynomial.variable(2, 1)
+    with pytest.raises(TypeError):
+        eng.element({((0, 1),): 0.5})
+    with pytest.raises(TypeError):
+        mod.element({((-1, 0),): 0.5})
+    with pytest.raises(TypeError):
+        CartanPolynomial(2, {(1, 0): 0.1})
+    with pytest.raises(TypeError):
+        CartanPolynomial.constant(2, 1.0)
+    for x in (eng.one(), mod.vacuum(), p):
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+    with pytest.raises(TypeError):
+        p + 0.5
+    with pytest.raises(TypeError):
+        p.evaluate([0.5, 1])
+    # exact scalars keep their type
+    assert (3 * eng.one()).terms == {(): 3}
+    assert type((Fraction(2) * eng.one()).terms[()]) is Fraction
