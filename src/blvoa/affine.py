@@ -31,7 +31,6 @@ from .uea import (
     Sparse,
     TermGuardExceeded,
     UEAElement,
-    _common_grading,
     exact,
 )
 
@@ -79,22 +78,6 @@ class VermaVector(Sparse):
     def level(self) -> Fraction:
         return self.module.level
 
-    def finite_weight(self):
-        """Common finite ad-h weight of all words, or "mixed"."""
-        basis = self.module.lie.basis
-        zero = Weight([0] * self.module.lie.rank)
-        weights = (
-            sum((basis[idx].weight for _, idx in word), zero)
-            for word in self.terms
-        )
-        return _common_grading(weights, zero)
-
-    def mode_degree(self):
-        """Common total mode (delta-degree) of all words, or "mixed"."""
-        return _common_grading(
-            (sum(m for m, _ in word) for word in self.terms), 0
-        )
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -114,7 +97,7 @@ class VacuumModule:
         self, lie: LieAlgebra, level: Rat, term_guard: int = DEFAULT_TERM_GUARD
     ):
         self.lie = lie
-        self.level = Fraction(level)
+        self.level = Fraction(exact(level))
         self.term_guard = term_guard
         self._apply_cache: dict[tuple[int, int, CWord], dict[CWord, Rat]] = {}
 
@@ -126,9 +109,6 @@ class VacuumModule:
 
     def element(self, terms: dict[CWord, Rat]) -> VermaVector:
         return VermaVector(self, {w: exact(c) for w, c in terms.items()})
-
-    def apply_central(self, v: VermaVector) -> VermaVector:
-        return self.level * v
 
     def apply(self, idx: int, mode: int, v: VermaVector) -> VermaVector:
         """x_idx(mode) . v, normal-ordered.
@@ -441,7 +421,7 @@ def is_admissible(
     reported.
     """
     l = rs.rank
-    if lam.level + dual_coxeter_number(l) <= 0:
+    if exact(lam.level) + dual_coxeter_number(l) <= 0:
         raise ValueError("k + h^vee must be positive for the windowed check")
     if m_max is not None and m_max < 0:
         raise ValueError("m_max must be nonnegative")

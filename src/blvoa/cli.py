@@ -30,15 +30,14 @@ from .uea import (
     UEA,
     TermGuardExceeded,
     identity_suite,
-    poly_in_span,
     spans_equal,
 )
 from .zero_weight import (
     DEFAULT_DIM_CEILING,
     OracleCeilingExceeded,
     explicit_polys,
-    explicit_q,
     p0_basis,
+    verify_membership,
 )
 
 GUARD_ENV = "BLVOA_GUARD"
@@ -245,9 +244,7 @@ def cmd_p0(args) -> int:
     consistent = True
     if args.compare:
         explicit = explicit_polys(lie, args.n)
-        member = all(
-            poly_in_span(p, oracle) for p in explicit + [explicit_q(lie, args.n)]
-        )
+        member = verify_membership(lie, args.n, oracle)
         # the oracle span must equal span(p_1..p_l) at n = 1
         equal = spans_equal(oracle, explicit)
         lines.append(f"explicit p_i, q in oracle span: {str(member).lower()}")

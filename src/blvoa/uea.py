@@ -103,11 +103,11 @@ class Sparse:
 
 
 class Echelon:
-    """Reduced row echelon basis of a span of sparse vectors {key: coeff}.
+    """Fraction-free echelon basis of a span of sparse vectors {key: coeff}.
 
-    A row's pivot is its largest key under ``order``, with coefficient 1,
-    and no row holds another row's pivot; so reducing a vector subtracts
-    each pivot row it meets once.  ``rows()`` is sorted by ``order``.
+    A stored row is a primitive integer vector (gcd 1) filed under its pivot,
+    its largest key under ``order``; no two rows share a pivot, and a row
+    never changes once stored.  ``rows()`` is the canonical reduced basis.
     """
 
     def __init__(self, order: Optional[Callable] = None):
@@ -115,30 +115,30 @@ class Echelon:
         self.pivots: dict = {}
 
     def reduce(self, terms: dict) -> dict:
-        """What is left of terms after eliminating every pivot."""
-        work = {k: c for k, c in terms.items() if c != 0}
-        for p, row in self.pivots.items():
-            c = work.get(p)
-            if c:
-                for k, v in row.items():
-                    add_into(work, k, -c * v)
+        """terms in integers, its largest key cancelled until it is no pivot."""
+        d = math.lcm(*(c.denominator for c in terms.values()))
+        work = {k: c.numerator * (d // c.denominator) for k, c in terms.items() if c}
+        while work:
+            lead = max(work, key=self.order)
+            row = self.pivots.get(lead)
+            if row is None:
+                break
+            g = math.gcd(work[lead], row[lead])
+            a, b = row[lead] // g, work[lead] // g
+            work = {k: a * c for k, c in work.items()}
+            for k, c in row.items():
+                add_into(work, k, -b * c)
         return work
 
     def insert(self, terms: dict) -> Optional[dict]:
-        """Reduce and, if independent, add as a new row and return it (the
-        stored dict, which later inserts reduce in place)."""
+        """Reduce and, if independent, store and return the remainder divided
+        by its gcd."""
         work = self.reduce(terms)
         if not work:
             return None
-        lead = max(work, key=self.order)
-        inv = 1 / Fraction(work[lead])
-        row = {k: inv * c for k, c in work.items()}
-        for other in self.pivots.values():
-            c = other.get(lead)
-            if c:
-                for k, v in row.items():
-                    add_into(other, k, -c * v)
-        self.pivots[lead] = row
+        g = math.gcd(*work.values())
+        row = {k: c // g for k, c in work.items()}
+        self.pivots[max(row, key=self.order)] = row
         return row
 
     @property
@@ -146,7 +146,18 @@ class Echelon:
         return len(self.pivots)
 
     def rows(self) -> list[dict]:
-        return [self.pivots[p] for p in sorted(self.pivots, key=self.order)]
+        """The reduced echelon basis, sorted by ``order``, lead coefficients 1."""
+        out: dict = {}
+        for p in sorted(self.pivots, key=self.order):
+            row = self.pivots[p]
+            work = {k: Fraction(c, row[p]) for k, c in row.items()}
+            for q, prev in out.items():
+                c = work.get(q)
+                if c:
+                    for k, v in prev.items():
+                        add_into(work, k, -c * v)
+            out[p] = work
+        return list(out.values())
 
 
 class UEAElement(Sparse):

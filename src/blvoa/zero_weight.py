@@ -3,15 +3,16 @@
 The adjoint submodule R of U(g) generated by the raising-operator image v
 of the singular vector is V(2n eps_1) with highest-weight vector v, so it
 is built by descent from v under ad(f_i) alone, each vector carrying its
-weight, with one exact reduced echelon basis per weight space (monomial
-columns, largest-monomial pivots).  The closed-form weight multiplicities
-of V(2n eps_1) set each space's target: a full space is skipped, and every
-space must close at its target.  Its zero-weight space, pushed through the
-highest-weight eigenvalue map, yields the polynomial span that cuts out the
-classified highest weights.  Each R_mu with mu >= 0 is spanned by the
-f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so that span is computed from
-the weights mu >= 0 alone.  The explicit closed-form polynomials are
-transcribed independently so membership can be cross-checked.
+weight, with one echelon of primitive integer rows per weight space
+(monomial columns, largest-monomial pivots).  The closed-form weight
+multiplicities of V(2n eps_1) set each space's target: a full space is
+skipped, and every space must close at its target.  Its zero-weight space,
+pushed through the highest-weight eigenvalue map, yields the polynomial
+span that cuts out the classified highest weights.  Each R_mu with
+mu >= 0 is spanned by the f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so
+that span is computed from the weights mu >= 0 alone.  The explicit
+closed-form polynomials are transcribed independently so membership can
+be cross-checked.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable
 
 from .liealg import LieAlgebra
 from .rootsys import Weight, eps_root, harmonic_multiplicities
@@ -32,7 +34,6 @@ from .uea import (
     falling,
     h_alpha_poly,
     poly_echelon,
-    poly_in_span,
 )
 
 DEFAULT_DIM_CEILING = 2000
@@ -90,7 +91,7 @@ def generate_module(
     ceiling: int = DEFAULT_DIM_CEILING,
     nonnegative: bool = False,
 ) -> AdModuleBasis:
-    """Descend from v, the singular image, under ad(f_i) alone.
+    """Descend from v, the singular image in integers, under ad(f_i) alone.
 
     Every ad(e_i) kills v, so R = U(n_-).v, and each row carries its
     weight, lowered by alpha_i per step.  The targets are the weight
@@ -125,12 +126,11 @@ def generate_module(
         raise OracleCeilingExceeded(
             f"oracle descent builds {total} vectors, over ceiling {ceiling}"
         )
-    v = singular_image(engine, n)
+    basis = AdModuleBasis(l)
+    v = UEAElement(engine, basis.space(top).insert(singular_image(engine, n).terms))
     if any(not engine.ad(engine.e(a), v).is_zero() for a in simple):
         raise RuntimeError("singular image is not a highest-weight vector")
     lowering = [(engine.f(a), engine.weights[lie.f(a).index]) for a in simple]
-    basis = AdModuleBasis(l)
-    basis.space(top).insert(v.terms)
     queue = [(v, top)]
     for x, w in queue:
         for f, step in lowering:
@@ -219,11 +219,11 @@ def explicit_polys(lie: LieAlgebra, n: int) -> list[CartanPolynomial]:
 
 
 def verify_membership(
-    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
+    lie: LieAlgebra, n: int, span: Iterable[CartanPolynomial]
 ) -> bool:
-    """All explicit polynomials (p_1..p_l and q) lie in the oracle span."""
-    oracle = p0_basis(engine, n, ceiling)
-    for p in explicit_polys(engine.lie, n) + [explicit_q(engine.lie, n)]:
-        if not poly_in_span(p, oracle):
-            return False
-    return True
+    """All explicit polynomials (p_1..p_l and q) lie in span."""
+    echelon = Echelon()
+    for p in span:
+        echelon.insert(p.terms)
+    explicit = explicit_polys(lie, n) + [explicit_q(lie, n)]
+    return not any(echelon.reduce(p.terms) for p in explicit)

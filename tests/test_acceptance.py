@@ -215,7 +215,7 @@ def test_criterion_03_span_equality(l):
 
 def test_criterion_04_membership_n2():
     eng = get_engine(2)
-    ok = verify_membership(eng, 2)
+    ok = verify_membership(eng.lie, 2, p0_basis(eng, 2))
     report(f"4 membership (l=2, n=2): p_1, p_2, q in oracle span: "
            f"{'PASS' if ok else 'FAIL'}")
     assert ok
@@ -447,7 +447,7 @@ def test_criterion_10_property_suites():
         rhs = mod.zero()
         for (ki, km), c in loop.items():
             rhs = rhs + c * mod.apply(ki, km, v)
-        rhs = rhs + central * mod.apply_central(v)
+        rhs = rhs + central * mod.level * v
         if lhs != rhs:
             apply_ok = False
     # the U(g) image of the singular vector

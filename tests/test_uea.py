@@ -1,6 +1,7 @@
 """PBW arithmetic: normal ordering, adjoint powers, reductions,
 highest-weight polynomials and the rewriting-identity suite."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,23 +10,26 @@ import pytest
 
 from conftest import get_engine, get_lie
 
-from blvoa.affine import VacuumModule
+import blvoa.zero_weight
+from blvoa.affine import AffineWeight, VacuumModule, check_singular, is_admissible
 from blvoa.liealg import add_into
-from blvoa.rootsys import Root, Weight
+from blvoa.rootsys import Root, RootSystem, Weight
 from blvoa.uea import (
     CartanPolynomial,
+    Echelon,
     TermGuardExceeded,
     UEA,
     check_commuting_monomials,
     check_identity,
     falling,
+    grlex,
     h_alpha_poly,
     identity_suite,
     poly_echelon,
     poly_in_span,
     spans_equal,
 )
-from blvoa.zero_weight import singular_image
+from blvoa.zero_weight import generate_module, p0_basis, singular_image
 
 
 def test_multiply_single_commutation():
@@ -521,6 +525,54 @@ def _random_poly(rng, rank):
     return CartanPolynomial(rank, terms)
 
 
+class _ReducedEchelon:
+    """Reference: reduced row echelon basis in Fractions.  Each row has lead
+    coefficient 1 on its pivot (its largest key under order), and every
+    insert back-eliminates the new pivot from the stored rows in place."""
+
+    def __init__(self, order=None):
+        self.order = order
+        self.pivots = {}
+
+    def reduce(self, terms):
+        work = {k: c for k, c in terms.items() if c != 0}
+        for p, row in self.pivots.items():
+            c = work.get(p)
+            if c:
+                for k, v in row.items():
+                    add_into(work, k, -c * v)
+        return work
+
+    def insert(self, terms):
+        work = self.reduce(terms)
+        if not work:
+            return None
+        lead = max(work, key=self.order)
+        inv = 1 / Fraction(work[lead])
+        row = {k: inv * c for k, c in work.items()}
+        for other in self.pivots.values():
+            c = other.get(lead)
+            if c:
+                for k, v in row.items():
+                    add_into(other, k, -c * v)
+        self.pivots[lead] = row
+        return row
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def rows(self):
+        return [self.pivots[p] for p in sorted(self.pivots, key=self.order)]
+
+
+def _echelon_rows(cls, polys):
+    span = cls(order=grlex)
+    for p in polys:
+        span.insert(p.terms)
+    return span.rows()
+
+
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_poly_echelon_matches_dense_gauss_jordan(l):
     rng = random.Random(500 + l)
@@ -534,6 +586,50 @@ def test_poly_echelon_matches_dense_gauss_jordan(l):
         basis = poly_echelon(polys)
         assert basis == _dense_grlex_rref(polys, l)
         assert all(poly_in_span(p, basis) for p in polys)
+        # the canonical rows do not depend on the order of insertion
+        want = _echelon_rows(_ReducedEchelon, polys)
+        assert _echelon_rows(Echelon, polys) == want
+        for _ in range(3):
+            perm = rng.sample(polys, len(polys))
+            assert _echelon_rows(Echelon, perm) == want
+            assert _echelon_rows(_ReducedEchelon, perm) == want
+
+
+def test_echelon_stores_primitive_rows_that_never_change():
+    rng = random.Random(11)
+    span = Echelon()
+
+    def draw():
+        keys = rng.sample(range(12), rng.randint(1, 5))
+        return {k: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for k in keys}
+
+    row = None
+    while row is None:
+        row = span.insert(draw())
+    snapshot = dict(row)
+    for _ in range(20):
+        span.insert(draw())
+    assert row == snapshot and span.pivots[max(row)] is row
+    for stored in span.pivots.values():
+        assert all(type(c) is int for c in stored.values())
+        assert math.gcd(*stored.values()) == 1
+
+
+# the oracle on the fraction-free Echelon against the reduced-rational one
+@pytest.mark.parametrize(
+    "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2)]
+)
+def test_oracle_matches_the_reduced_rational_echelon(l, n, monkeypatch):
+    eng = get_engine(l)
+    module = generate_module(eng, n, nonnegative=True)
+    basis = p0_basis(eng, n)
+    monkeypatch.setattr(blvoa.zero_weight, "Echelon", _ReducedEchelon)
+    reference = generate_module(eng, n, nonnegative=True)
+    assert all(type(s) is _ReducedEchelon for s in reference.spaces.values())
+    assert module.spaces.keys() == reference.spaces.keys()
+    for w, space in module.spaces.items():
+        assert space.rows() == reference.spaces[w].rows()
+    assert p0_basis(eng, n) == basis
 
 
 def _uea_elements():
@@ -623,6 +719,12 @@ def test_floats_are_refused():
         p + 0.5
     with pytest.raises(TypeError):
         p.evaluate([0.5, 1])
+    with pytest.raises(TypeError):
+        VacuumModule(get_lie(2), 0.1)
+    with pytest.raises(TypeError):
+        check_singular(get_lie(2), 1, 0.1)
+    with pytest.raises(TypeError):
+        is_admissible(AffineWeight(0.5, Weight([0, 0])), RootSystem(2))
     # exact scalars keep their type
     assert (3 * eng.one()).terms == {(): 3}
     assert type((Fraction(2) * eng.one()).terms[()]) is Fraction

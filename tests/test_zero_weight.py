@@ -1,6 +1,7 @@
 """The adjoint-module oracle: dimensions, the zero-weight polynomial span,
 and the explicit closed-form polynomials."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,16 @@ def test_descent_matches_two_sided_saturation(l, n):
     assert module.spaces.keys() == reference.spaces.keys()
     for w, space in module.spaces.items():
         assert space.rows() == reference.spaces[w].rows()
+
+
+# the descent runs in integers: each stored row is a primitive int vector
+@pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (2, 2), (2, 3)])
+def test_descent_stores_primitive_int_rows(l, n):
+    module = generate_module(get_engine(l), n)
+    for space in module.spaces.values():
+        for row in space.pivots.values():
+            assert all(type(c) is int for c in row.values())
+            assert math.gcd(*row.values()) == 1
 
 
 def _is_nonnegative(mu):
@@ -224,7 +235,8 @@ def test_explicit_q_vanishes_on_classified_weights():
 
 @pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (2, 2)])
 def test_membership(l, n):
-    assert verify_membership(get_engine(l), n)
+    eng = get_engine(l)
+    assert verify_membership(eng.lie, n, p0_basis(eng, n))
 
 
 @pytest.mark.parametrize("l", [2, 3])
