@@ -16,13 +16,20 @@ from typing import Iterable, Sequence, Union
 Rat = Union[int, Fraction]
 
 
+def exact(c: Rat) -> Rat:
+    """c itself if it is an int or a Fraction; anything else is a TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"{c!r} is not an int or a Fraction")
+    return c
+
+
 class Weight:
     """A weight of B_l, stored in exact epsilon-coordinates."""
 
     __slots__ = ("eps",)
 
     def __init__(self, coords: Iterable[Rat]):
-        self.eps = tuple(Fraction(c) for c in coords)
+        self.eps = tuple(Fraction(exact(c)) for c in coords)
 
     @property
     def rank(self) -> int:
@@ -54,8 +61,7 @@ class Weight:
         return Weight(-a for a in self.eps)
 
     def __rmul__(self, scalar: Rat) -> "Weight":
-        s = Fraction(scalar)
-        return Weight(s * a for a in self.eps)
+        return Weight(exact(scalar) * a for a in self.eps)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Weight) and self.eps == other.eps

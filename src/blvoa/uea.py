@@ -10,9 +10,12 @@ on a highest-weight vector is read off from its pure-Cartan part.
 Normalization inserts one letter at a time into a normal-ordered monomial,
 commuting it past each smaller letter through the integer bracket table,
 and memoizes each insertion on (letter, monomial); a product of monomials
-inserts the letters of the left one, last first, into the right one.  A
-configurable term-count guard bounds each insertion and each monomial
-product.
+inserts the letters of the left one, last first, into the right one.  The
+adjoint action of a letter x on a monomial head·rest follows the Leibniz
+rule [x, head·rest] = head·[x, rest] + [x, head]·rest, memoized on
+(monomial, letter) in the same table, so it never builds x·m or m·x.  A
+configurable term-count guard bounds each insertion, each bracket and each
+monomial product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .liealg import BasisElement, LieAlgebra, add_into
-from .rootsys import Root, Weight, eps_root
+from .rootsys import Root, Weight, eps_root, exact
 
 Rat = Union[int, Fraction]
 Monomial = tuple[tuple[int, int], ...]   # ((basis index, power), ...) increasing
@@ -38,13 +41,6 @@ class TermGuardExceeded(RuntimeError):
 
     def __init__(self, phase: str, reached: int, guard: int):
         super().__init__(f"{phase} reached {reached} terms, over the guard {guard}")
-
-
-def exact(c: Rat) -> Rat:
-    """c itself if it is an int or a Fraction; anything else is a TypeError."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"{c!r} is not an int or a Fraction")
-    return c
 
 
 class Sparse:
@@ -200,8 +196,10 @@ class UEAElement(Sparse):
 class UEA:
     """Normal-ordering engine for U(g) over a fixed LieAlgebra.
 
-    Elements are immutable; the insertion memo table is append-only, so
-    concurrent readers always observe identical canonical forms.
+    Elements are immutable; the memo table of insertions, keyed
+    (letter, monomial), and of brackets, keyed (monomial, letter), is
+    append-only, so concurrent readers always observe identical canonical
+    forms.
     """
 
     def __init__(self, lie: LieAlgebra, term_guard: int = DEFAULT_TERM_GUARD):
@@ -212,7 +210,7 @@ class UEA:
         self.e_start = lie.e_start
         self.brackets = lie.structure_constants()
         self.weights = [tuple(int(c) for c in b.weight.eps) for b in lie.basis]
-        self._mono_cache: dict[tuple[int, Monomial], dict[Monomial, int]] = {}
+        self._mono_cache: dict[tuple, dict[Monomial, int]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -290,11 +288,15 @@ class UEA:
             rest = ((head, p - 1),) + mono[1:] if p > 1 else mono[1:]
             # x·head·rest = head·(x·rest) + [x, head]·rest
             out = self._insert_each(head, self._insert(x, rest))
-            for k, c in self.brackets[(x, head)].items():
-                for m, c2 in self._insert(k, rest).items():
-                    add_into(out, m, c * c2)
+            self._add_bracket_times(out, x, head, rest)
             cached = self._mono_cache[key] = self._guard(out)
         return cached
+
+    def _add_bracket_times(self, out: dict, x: int, head: int, rest: Monomial):
+        """out += [x, head]·rest, the term both recursions share."""
+        for k, c in self.brackets[(x, head)].items():
+            for m, c2 in self._insert(k, rest).items():
+                add_into(out, m, c * c2)
 
     def _insert_each(self, x: int, terms: dict) -> dict[Monomial, int]:
         """x·terms, inserting x into each monomial."""
@@ -312,8 +314,34 @@ class UEA:
     # -- adjoint action -------------------------------------------------------
 
     def ad(self, x: UEAElement, y: UEAElement) -> UEAElement:
-        """[x, y] = xy - yx."""
-        return self.multiply(x, y) - self.multiply(y, x)
+        """[x, y] for x in g: the sum of c·c'·[letter, m] over the terms
+        c·letter of x and c'·m of y, each bracket by the Leibniz rule.  A
+        monomial of x that is not one letter to the first power is a
+        ValueError."""
+        out: dict[Monomial, Rat] = {}
+        for mx, cx in x.terms.items():
+            if len(mx) != 1 or mx[0][1] != 1:
+                raise ValueError("ad(x) needs x in g: one letter per monomial")
+            for my, cy in y.terms.items():
+                c = cx * cy
+                for m, c2 in self._bracket(mx[0][0], my).items():
+                    add_into(out, m, c * c2)
+        return UEAElement(self, out)
+
+    def _bracket(self, x: int, mono: Monomial) -> dict[Monomial, int]:
+        """[x, mono] in PBW normal form, memoized on (mono, x)."""
+        if not mono:
+            return {}
+        key = (mono, x)
+        cached = self._mono_cache.get(key)
+        if cached is None:
+            head, p = mono[0]
+            rest = ((head, p - 1),) + mono[1:] if p > 1 else mono[1:]
+            # [x, head·rest] = head·[x, rest] + [x, head]·rest
+            out = self._insert_each(head, self._bracket(x, rest))
+            self._add_bracket_times(out, x, head, rest)
+            cached = self._mono_cache[key] = self._guard(out)
+        return cached
 
     def ad_power(self, x: UEAElement, n: int, y: UEAElement) -> UEAElement:
         """n-fold iterated commutator action of x on y."""

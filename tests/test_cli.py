@@ -125,16 +125,19 @@ def test_json_schema_and_round_trip(capsys):
     assert again == out
 
 
+# p0's guard bounds each U(g) normal form: at rank 3, n = 1 one bracket
+# [f_i, x] of the oracle descent has 3 terms
 def test_guard_flag_exits_2(capsys):
-    code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--guard", "2")
+    code, _, err = run(capsys, "p0", "--rank", "3", "--n", "1", "--guard", "2")
     assert code == 2
     assert "U(g) normalization reached 3 terms, over the guard 2" in err
 
 
 def test_guard_env(capsys, monkeypatch):
     monkeypatch.setenv("BLVOA_GUARD", "2")
-    code, _, _ = run(capsys, "p0", "--rank", "2", "--n", "1")
+    code, _, err = run(capsys, "p0", "--rank", "3", "--n", "1")
     assert code == 2
+    assert "U(g) normalization reached 3 terms, over the guard 2" in err
 
 
 # check-singular's guard bounds the words of one vacuum-module apply result:

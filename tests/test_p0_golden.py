@@ -18,7 +18,7 @@ import pytest
 from blvoa.cli import GUARD_ENV, main
 
 GOLDEN = Path(__file__).with_name("p0_golden.json")
-P0_POINTS = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2)]
+P0_POINTS = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2)]
 COMPARE_POINTS = [(2, 1), (3, 1), (2, 2)]
 
 

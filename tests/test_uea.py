@@ -109,6 +109,64 @@ def test_ad_examples():
     assert eng.ad(e1, eng.one()).is_zero()
 
 
+# -- ad by the Leibniz rule against the commutator of products ----------------
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_ad_matches_the_commutator_of_products(l):
+    eng = UEA(get_lie(l))
+    rng = random.Random(800 + l)
+    blocks = (
+        range(eng.h_start),
+        range(eng.h_start, eng.e_start),
+        range(eng.e_start, eng.nbasis),
+    )
+    for _ in range(60):
+        x = eng.element(
+            {
+                ((i, 1),): Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                for i in rng.sample(range(eng.nbasis), rng.randint(1, 3))
+            }
+        )
+        # a constant and 2-4 monomials of up to two f, h and e letters each,
+        # at powers up to 3
+        terms = {(): rng.randint(-2, 2)}
+        for _ in range(rng.randint(2, 4)):
+            mono = {
+                rng.choice(block): rng.randint(1, 3)
+                for block in blocks
+                for _ in range(rng.randint(0, 2))
+            }
+            terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(1, 5), 2)
+        y = eng.element(terms)
+        assert eng.ad(x, y) == eng.multiply(x, y) - eng.multiply(y, x)
+
+
+def test_ad_refuses_an_x_outside_g():
+    eng = get_engine(2)
+    eps1 = Root([1, 0])
+    y = eng.f(Root([0, 1]))
+    for x in (eng.e(eps1, 2), eng.multiply(eng.h(1), eng.e(eps1)), eng.one()):
+        with pytest.raises(ValueError):
+            eng.ad(x, y)
+
+
+def test_term_guard_bounds_each_bracket():
+    # [e(eps1+eps2), f(eps2)^2 h_1 e(eps2)^2] has 10 terms at rank 2, and no
+    # normal form on the way has more: a guard of 10 computes it, 9 trips
+    lie = get_lie(2)
+    mono = (
+        (lie.f(Root([0, 1])).index, 2),
+        (lie.h(1).index, 1),
+        (lie.e(Root([0, 1])).index, 2),
+    )
+    eng = UEA(lie, term_guard=10)
+    assert eng.ad(eng.e(Root([1, 1])), eng.element({mono: 1})).term_count() == 10
+    tight = UEA(lie, term_guard=9)
+    with pytest.raises(TermGuardExceeded):
+        tight.ad(tight.e(Root([1, 1])), tight.element({mono: 1}))
+
+
 def test_ad_power_zero_is_identity():
     eng = get_engine(2)
     y = eng.multiply(eng.h(1), eng.f(Root([1, 0])))
@@ -725,6 +783,13 @@ def test_floats_are_refused():
         check_singular(get_lie(2), 1, 0.1)
     with pytest.raises(TypeError):
         is_admissible(AffineWeight(0.5, Weight([0, 0])), RootSystem(2))
+    with pytest.raises(TypeError):
+        Weight([0.1, 0])
+    with pytest.raises(TypeError):
+        Root([1.0, 0])
+    with pytest.raises(TypeError):
+        0.5 * Weight([1, 0])
     # exact scalars keep their type
     assert (3 * eng.one()).terms == {(): 3}
     assert type((Fraction(2) * eng.one()).terms[()]) is Fraction
+    assert (2 * Weight([Fraction(1, 2), 0])).eps == (1, 0)
