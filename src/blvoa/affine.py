@@ -322,9 +322,7 @@ class AffineRealRoot:
             parts.append(f"{self.m}d" if self.m != 1 else "d")
         for i, c in enumerate(self.alpha.eps, start=1):
             if c:
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                parts.append(f"{sign}{'' if mag == 1 else mag}e{i}")
+                parts.append(f"{'+' if c > 0 else '-'}e{i}")
         body = "".join(parts)
         if body.startswith("+"):
             body = body[1:]

@@ -36,9 +36,6 @@ class ClassificationResult:
     entries: list[Entry]
     complete: bool   # False for the n > 1 candidate category-O list
 
-    def weights(self) -> list[Weight]:
-        return [e.weight for e in self.entries]
-
 
 def _sorted_entries(entries: Iterable[Entry]) -> list[Entry]:
     return sorted(entries, key=lambda e: e.weight.fundamental())

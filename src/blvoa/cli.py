@@ -184,7 +184,6 @@ def fmt_weight(w) -> str:
 
 
 def cmd_classify(args) -> int:
-    check_args(args)
     lie = LieAlgebra(args.rank)
     rs = lie.rootsys
     want_o = args.category_o or not args.finite_dim
@@ -218,7 +217,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check_singular(args) -> int:
-    check_args(args)
     lie = LieAlgebra(args.rank)
     level = frac(args.level) if args.level is not None else None
     report = check_singular(lie, args.n, level, default_guard(args))
@@ -232,7 +230,6 @@ def cmd_check_singular(args) -> int:
 
 
 def cmd_p0(args) -> int:
-    check_args(args)
     lie = LieAlgebra(args.rank)
     engine = UEA(lie, term_guard=default_guard(args))
     ceiling = at_least_one(args.oracle_ceiling, "--oracle-ceiling")
@@ -258,7 +255,6 @@ def cmd_p0(args) -> int:
 
 
 def cmd_admissible(args) -> int:
-    check_args(args)
     rs = build_root_system(args.rank)
     mu = parse_weight(args.weight, args.rank)
     lam = AffineWeight(frac(args.level), mu)
@@ -277,7 +273,6 @@ def cmd_admissible(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    check_args(args)
     rs = build_root_system(args.rank)
     mu = parse_weight(args.weight, args.rank)
     if not rs.is_dominant_integral(mu):
@@ -288,11 +283,10 @@ def cmd_dim(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    check_args(args)
     lie = LieAlgebra(args.rank)
     engine = UEA(lie, term_guard=default_guard(args))
     bound = args.n if args.n > 1 else 3
-    records = identity_suite(engine, max_m=bound, max_k=bound)
+    records = identity_suite(engine, bound)
     passed = sum(1 for _, _, s in records if s == "pass")
     skipped = sum(1 for _, _, s in records if s == "skip")
     failed = [(i, p) for i, p, s in records if s == "FAIL"]
@@ -320,6 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        check_args(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,8 +3,15 @@
 The algebra is realized as matrices antisymmetric about the antidiagonal
 (X[i][j] = -X[j'][i'] with i' = N+1-i for N = 2l+1), so the Cartan
 subalgebra is diagonal, diag(a_1, ..., a_l, 0, -a_l, ..., -a_1), and
-ad-weights can be read off entrywise.  Root vectors are produced by fixed
-nested-bracket formulas from the Chevalley generators, which pins every
+ad-weights can be read off entrywise.  Each root vector has a closed form
+in the matrix units E (1-based):
+
+    e_alpha = s (E_ab - E_b'a'),    f_alpha = t (E_ba - E_a'b'),
+
+with (a, b, s, t) = (i, j, 1, 1) for eps_i - eps_j, (i, l+1, 1, 2) for
+eps_i and (i, j', -1/2, -2) for eps_i + eps_j, and h_i = [e_i, f_i] for
+the simple roots.  These are the matrices that the nested brackets of the
+Chevalley generators give (checked in the tests), which pins every
 normalization; in particular [e_alpha, f_alpha] is exactly the coroot
 h_alpha for every positive root alpha.
 """
@@ -26,11 +33,6 @@ from .rootsys import (
 # {(row, col): entry}, 0-based, holding only the nonzero entries, so that
 # == compares matrices and an empty dict is the zero matrix.
 Matrix = dict[tuple[int, int], Fraction]
-
-
-def _unit(i: int, j: int) -> Matrix:
-    """E_{ij}, 1-based indices."""
-    return {(i - 1, j - 1): Fraction(1)}
 
 
 def add_into(out: dict, key, c) -> None:
@@ -107,98 +109,46 @@ class LieAlgebra:
         self.rootsys: RootSystem = build_root_system(rank)
         self.rank = rank
         self.n = 2 * rank + 1
-        self._build_generators()
-        self._build_root_vectors()
         self._build_basis()
-        # Calibrate the invariant form from (e_theta, f_theta) = 1.
-        theta = self.rootsys.highest_root
-        t = trace_prod(self.e(theta).matrix, self.f(theta).matrix)
-        self.form_scale = Fraction(1) / t
+        # tr(e_theta f_theta) = 2 for the closed forms, so (e_theta, f_theta) = 1
+        self.form_scale = Fraction(1, 2)
         self._brackets: Optional[dict] = None
 
     # -- construction -----------------------------------------------------
 
-    def _build_generators(self) -> None:
-        l, n = self.rank, self.n
-        self._chev_e: list[Matrix] = []
-        self._chev_f: list[Matrix] = []
-        self._chev_h: list[Matrix] = []
-        for i in range(1, l):
-            e = mat_sub(_unit(i, i + 1), _unit(n - i, n + 1 - i))
-            f = mat_sub(_unit(i + 1, i), _unit(n + 1 - i, n - i))
-            self._chev_e.append(e)
-            self._chev_f.append(f)
-            self._chev_h.append(mat_bracket(e, f))
-        e = mat_sub(_unit(l, l + 1), _unit(l + 1, l + 2))
-        f = mat_scale(
-            Fraction(2), mat_sub(_unit(l + 1, l), _unit(l + 2, l + 1))
-        )
-        self._chev_e.append(e)
-        self._chev_f.append(f)
-        self._chev_h.append(mat_bracket(e, f))
-
-    def _build_root_vectors(self) -> None:
-        l = self.rank
-        e_pos: dict[Root, Matrix] = {}
-        f_pos: dict[Root, Matrix] = {}
-        # e_{eps_i - eps_j} = [e_i, [e_{i+1}, [... [e_{j-2}, e_{j-1}] ...]]]
-        for j in range(2, l + 1):
-            for i in range(j - 1, 0, -1):
-                alpha = eps_root(l, i, j, -1)
-                m = self._chev_e[j - 2]
-                for t in range(j - 2, i - 1, -1):
-                    m = mat_bracket(self._chev_e[t - 1], m)
-                e_pos[alpha] = m
-                m = self._chev_f[i - 1]
-                for t in range(i + 1, j):
-                    m = mat_bracket(self._chev_f[t - 1], m)
-                f_pos[alpha] = m
-        # e_{eps_i} = [e_i, [e_{i+1}, [... [e_{l-1}, e_l] ...]]]
-        short = {i: eps_root(l, i) for i in range(1, l + 1)}
-        for i in range(l, 0, -1):
-            m = self._chev_e[l - 1]
-            for t in range(l - 1, i - 1, -1):
-                m = mat_bracket(self._chev_e[t - 1], m)
-            e_pos[short[i]] = m
-            m = self._chev_f[i - 1]
-            for t in range(i + 1, l + 1):
-                m = mat_bracket(self._chev_f[t - 1], m)
-            f_pos[short[i]] = m
-        # e_{eps_i + eps_j} = (1/2) [e_{eps_i}, e_{eps_j}], i < j
-        half = Fraction(1, 2)
-        for i in range(1, l):
-            for j in range(i + 1, l + 1):
-                alpha = eps_root(l, i, j, 1)
-                e_pos[alpha] = mat_scale(
-                    half, mat_bracket(e_pos[short[i]], e_pos[short[j]])
-                )
-                f_pos[alpha] = mat_scale(
-                    half, mat_bracket(f_pos[short[j]], f_pos[short[i]])
-                )
-        self._e_pos = e_pos
-        self._f_pos = f_pos
-
     def _build_basis(self) -> None:
+        l, p = self.rank, self.n + 1   # x' = p - x
+
+        def units(a: int, b: int, c: Fraction) -> Matrix:
+            """c (E_ab - E_b'a'), 1-based."""
+            return {(a - 1, b - 1): c, (p - b - 1, p - a - 1): -c}
+
+        one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
+        ef: dict[Root, tuple[Matrix, Matrix]] = {}   # (e_alpha, f_alpha)
+        for i in range(1, l + 1):
+            ef[eps_root(l, i)] = (units(i, l + 1, one), units(l + 1, i, two))
+            for j in range(i + 1, l + 1):
+                ef[eps_root(l, i, j, -1)] = (units(i, j, one), units(j, i, one))
+                ef[eps_root(l, i, j, 1)] = (
+                    units(i, p - j, -half),
+                    units(p - j, i, -two),
+                )
         pos = self.rootsys.positive_roots
         basis: list[BasisElement] = []
         for r in pos:
-            basis.append(BasisElement("f", r, self._f_pos[r], -r, len(basis)))
-        for i in range(1, self.rank + 1):
-            zero = Weight([0] * self.rank)
-            basis.append(
-                BasisElement("h", i, self._chev_h[i - 1], zero, len(basis))
-            )
+            basis.append(BasisElement("f", r, ef[r][1], -r, len(basis)))
+        zero = Weight([0] * l)
+        for i, alpha in enumerate(self.rootsys.simple_roots, 1):
+            h = mat_bracket(*ef[alpha])
+            basis.append(BasisElement("h", i, h, zero, len(basis)))
         for r in pos:
-            basis.append(BasisElement("e", r, self._e_pos[r], r, len(basis)))
+            basis.append(BasisElement("e", r, ef[r][0], r, len(basis)))
         self.basis: tuple[BasisElement, ...] = tuple(basis)
         self.h_start = len(pos)
         self.e_start = len(pos) + self.rank
-        self._by_key = {}
-        for b in basis:
-            if b.kind == "h":
-                self._by_key[("h", b.label)] = b
-            else:
-                self._by_key[(b.kind, b.label.eps)] = b
+        self._by_key = {
+            (b.kind, b.label if b.kind == "h" else b.label.eps): b for b in basis
+        }
 
     # -- lookups -----------------------------------------------------------
 

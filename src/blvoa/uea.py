@@ -258,7 +258,7 @@ class UEA:
                 c12 = c1 * c2
                 for m, c in self._mono_mul(m1, m2).items():
                     add_into(out, m, c12 * c)
-        return UEAElement(self, out)
+        return UEAElement(self, self._guard(out))
 
     def power(self, a: UEAElement, n: int) -> UEAElement:
         out = self.one()
@@ -326,7 +326,7 @@ class UEA:
                 c = cx * cy
                 for m, c2 in self._bracket(mx[0][0], my).items():
                     add_into(out, m, c * c2)
-        return UEAElement(self, out)
+        return UEAElement(self, self._guard(out))
 
     def _bracket(self, x: int, mono: Monomial) -> dict[Monomial, int]:
         """[x, mono] in PBW normal form, memoized on (mono, x)."""
@@ -408,11 +408,8 @@ class UEA:
         l = self.lie.rank
         coeffs: dict[tuple[int, ...], Rat] = {}
         for mono, c in r.terms.items():
+            # a zero-weight monomial with a lowering letter has a raising one
             if any(idx >= self.e_start for idx, _ in mono):
-                continue
-            if any(idx < self.h_start for idx, _ in mono):
-                # zero-weight monomial with lowering part must carry raising
-                # part too; skipped above
                 continue
             exps = [0] * l
             for idx, p in mono:
@@ -642,13 +639,9 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         v = engine.ad_power(engine.e(x), k, engine.f(y, m))
         return (red(v) if mod_nplus else v).is_zero()
 
-    if ident == 1:
-        alpha, m = params["alpha"], params["m"]
-        lhs = red(engine.ad_power(engine.e(alpha), m, engine.f(alpha, m)))
-        rhs = math.factorial(m) * engine.from_cartan(
-            falling(h_alpha_poly(engine.lie, alpha), m)
-        )
-        return lhs == rhs
+    if ident == 1:   # identity 10 at k = m
+        m = params["m"]
+        return check_identity(engine, 10, alpha=params["alpha"], k=m, m=m)
     if ident == 2:
         alpha, k, m = params["alpha"], params["k"], params["m"]
         need(k > m, "identity 2 needs k > m")
@@ -751,10 +744,9 @@ def check_commuting_monomials(
     return engine.reduce_mod_nplus(lhs2 - sign * prod).is_zero()
 
 
-def identity_suite(
-    engine: UEA, max_m: int = 3, max_k: int = 3
-) -> list[tuple[int, dict, str]]:
-    """Run every identity over the parameter grid; returns (id, params, status).
+def identity_suite(engine: UEA, bound: int = 3) -> list[tuple[int, dict, str]]:
+    """Run every identity over the parameter grid with m, k and r up to
+    bound; returns (id, params, status).
 
     status is "pass", "FAIL" or "skip" (side condition vacuous at this rank,
     e.g. the identities quantified over i in 3..l when the rank is 2).
@@ -772,40 +764,40 @@ def identity_suite(
 
     for alpha in pos:
         h_alpha = h_alpha_poly(engine.lie, alpha)
-        for m in range(1, max_m + 1):
+        for m in range(1, bound + 1):
             run(1, alpha=alpha, m=m)
-        for k in range(1, max_k + 1):
+        for k in range(1, bound + 1):
             for m in range(1, k):
                 run(2, alpha=alpha, k=k, m=m)
-        for k in range(0, max_k + 1):
+        for k in range(0, bound + 1):
             for poly in (
                 CartanPolynomial.variable(l, 1),
                 h_alpha * h_alpha - 3 * CartanPolynomial.variable(l, l),
             ):
                 run(6, alpha=alpha, k=k, poly=poly)
-        for m in range(1, max_m + 1):
+        for m in range(1, bound + 1):
             for k in range(1, m + 1):
                 run(10, alpha=alpha, k=k, m=m)
     for i in range(2, l + 1):
-        for k in range(0, max_k + 1):
+        for k in range(0, bound + 1):
             run(3, k=k, i=i)
             for j in range(1, 3):
                 run(4, k=k, j=j, i=i)
-        for r in range(1, max_k + 1):
-            for k in range(1, max_k + 1):
+        for r in range(1, bound + 1):
+            for k in range(1, bound + 1):
                 run(5, r=r, k=k, i=i)
     if l < 3:
         for ident in (7, 8, 9, 11, 12):
             skip(ident)
     else:
         for i in range(3, l + 1):
-            for m in range(1, max_m + 1):
+            for m in range(1, bound + 1):
                 for k in range(1, m + 1):
                     run(7, i=i, k=k, m=m)
-                for k in range(1, max_k + 1):
+                for k in range(1, bound + 1):
                     run(8, i=i, k=k, m=m)
                     run(9, i=i, k=k, m=m)
                     run(12, i=i, k=k, m=m)
-            for k in range(1, max_k + 1):
+            for k in range(1, bound + 1):
                 run(11, i=i, k=k)
     return records

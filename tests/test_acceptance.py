@@ -330,7 +330,7 @@ def test_criterion_08_identity_suite():
     failures = []
     for l in (2, 3):
         eng = get_engine(l)
-        recs = identity_suite(eng, max_m=3, max_k=3)
+        recs = identity_suite(eng, bound=3)
         counts[l] = (
             sum(1 for _, _, s in recs if s == "pass"),
             sum(1 for _, _, s in recs if s == "skip"),

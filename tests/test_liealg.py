@@ -1,5 +1,6 @@
-"""Matrix realization: Chevalley relations, nested-bracket root vectors,
-structure constants, Jacobi, and the calibrated invariant form."""
+"""Matrix realization: Chevalley relations, closed-form root vectors against
+the nested-bracket reference, structure constants, Jacobi, and the
+invariant form."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,8 @@ import pytest
 
 from conftest import get_lie
 
-from blvoa.liealg import LieAlgebra, mat_bracket, mat_mul, mat_scale
-from blvoa.rootsys import Root, Weight, coroot_pairing, inner
+from blvoa.liealg import LieAlgebra, mat_bracket, mat_mul, mat_scale, mat_sub
+from blvoa.rootsys import Root, Weight, coroot_pairing, eps_root, inner
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -52,6 +53,69 @@ def test_short_long_cartan_entries():
         assert mat_bracket(hs[l - 2].matrix, es[l - 1].matrix) == mat_scale(
             Fraction(-1), es[l - 1].matrix
         )
+
+
+def _unit(i: int, j: int):
+    """E_{ij}, 1-based indices."""
+    return {(i - 1, j - 1): Fraction(1)}
+
+
+def _nested_bracket_basis(l: int):
+    """The Chevalley generators and every e_alpha, f_alpha, h_i built by
+    nested matrix brackets, the reference for the closed forms:
+    e_{eps_i - eps_j} = [e_i, [e_{i+1}, [... [e_{j-2}, e_{j-1}] ...]]],
+    e_{eps_i} = [e_i, [e_{i+1}, [... [e_{l-1}, e_l] ...]]],
+    e_{eps_i + eps_j} = (1/2) [e_{eps_i}, e_{eps_j}] for i < j,
+    the f's likewise from the f_i in the opposite order, h_i = [e_i, f_i]."""
+    n = 2 * l + 1
+    ce, cf = [], []
+    for i in range(1, l):
+        ce.append(mat_sub(_unit(i, i + 1), _unit(n - i, n + 1 - i)))
+        cf.append(mat_sub(_unit(i + 1, i), _unit(n + 1 - i, n - i)))
+    ce.append(mat_sub(_unit(l, l + 1), _unit(l + 1, l + 2)))
+    cf.append(mat_scale(Fraction(2), mat_sub(_unit(l + 1, l), _unit(l + 2, l + 1))))
+    ch = [mat_bracket(e, f) for e, f in zip(ce, cf)]
+
+    def nested(gens, first: int, last: int, downward: bool):
+        # brackets gens[first..last] (1-based) into one matrix
+        order = range(last - 1, first - 1, -1) if downward else range(first + 1, last + 1)
+        m = gens[last - 1] if downward else gens[first - 1]
+        for t in order:
+            m = mat_bracket(gens[t - 1], m)
+        return m
+
+    e_pos, f_pos = {}, {}
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 1):
+            alpha = eps_root(l, i, j, -1)
+            e_pos[alpha] = nested(ce, i, j - 1, True)
+            f_pos[alpha] = nested(cf, i, j - 1, False)
+        e_pos[eps_root(l, i)] = nested(ce, i, l, True)
+        f_pos[eps_root(l, i)] = nested(cf, i, l, False)
+    half = Fraction(1, 2)
+    for i in range(1, l + 1):
+        for j in range(i + 1, l + 1):
+            ei, ej = eps_root(l, i), eps_root(l, j)
+            alpha = eps_root(l, i, j, 1)
+            e_pos[alpha] = mat_scale(half, mat_bracket(e_pos[ei], e_pos[ej]))
+            f_pos[alpha] = mat_scale(half, mat_bracket(f_pos[ej], f_pos[ei]))
+    return ce, cf, ch, e_pos, f_pos
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_closed_forms_match_nested_brackets(l):
+    lie = LieAlgebra(l)
+    ce, cf, ch, e_pos, f_pos = _nested_bracket_basis(l)
+    es, fs, hs = lie.chevalley_generators()
+    assert [b.matrix for b in es] == ce
+    assert [b.matrix for b in fs] == cf
+    assert [b.matrix for b in hs] == ch
+    assert [lie.h(i).matrix for i in range(1, l + 1)] == ch
+    assert set(e_pos) == set(f_pos) == set(lie.rootsys.positive_roots)
+    for alpha in lie.rootsys.positive_roots:
+        assert lie.e(alpha).matrix == e_pos[alpha], alpha
+        assert lie.f(alpha).matrix == f_pos[alpha], alpha
+    assert lie.form_scale == Fraction(1, 2)
 
 
 def test_root_vector_base_cases():

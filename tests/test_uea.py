@@ -167,6 +167,28 @@ def test_term_guard_bounds_each_bracket():
         tight.ad(tight.e(Root([1, 1])), tight.element({mono: 1}))
 
 
+def test_term_guard_bounds_each_ad_and_multiply_result():
+    # every bracket and every monomial product below stays small; only the
+    # sums that ad and multiply return reach N terms: guard N computes them,
+    # N - 1 trips
+    e1, e2 = Root([1, 0]), Root([0, 1])
+
+    def bracket(eng):
+        return eng.ad(eng.e(e1), eng.multiply(eng.f(e1, 3), eng.f(e2, 2)))
+
+    def product(eng):
+        x = eng.f(e1) + eng.f(e2) + eng.f(Root([1, 1])) + eng.f(Root([1, -1]))
+        return eng.multiply(x, eng.one())
+
+    for op, n in ((bracket, 11), (product, 4)):
+        assert op(UEA(get_lie(2), term_guard=n)).term_count() == n
+        with pytest.raises(TermGuardExceeded) as info:
+            op(UEA(get_lie(2), term_guard=n - 1))
+        assert str(info.value) == (
+            f"U(g) normalization reached {n} terms, over the guard {n - 1}"
+        )
+
+
 def test_ad_power_zero_is_identity():
     eng = get_engine(2)
     y = eng.multiply(eng.h(1), eng.f(Root([1, 0])))
