@@ -14,6 +14,16 @@ the simple roots.  These are the matrices that the nested brackets of the
 Chevalley generators give (checked in the tests), which pins every
 normalization; in particular [e_alpha, f_alpha] is exactly the coroot
 h_alpha for every positive root alpha.
+
+The bracket table is read by weight.  [x_i, x_j] has the weight
+w = wt_i + wt_j, and every root space is one-dimensional, so in a Chevalley
+basis [e_alpha, e_beta] = N e_(alpha+beta) (Humphreys, Introduction to Lie
+Algebras and Representation Theory, section 25).  When w is neither 0 nor a
+root the bracket is 0 with no matrix work; when w is a root gamma it is one
+integer, the entry of [x_i, x_j] at one cell of x_gamma divided by x_gamma's
+entry there; when w = 0 it is the Cartan element that ``expand`` reads off
+the diagonal.  h_alpha = [e_alpha, f_alpha] is that last case, so its
+coefficients over h_1..h_l are ints.
 """
 
 from __future__ import annotations
@@ -66,6 +76,13 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def mat_cell(a: Matrix, b: Matrix, r: int, c: int) -> Fraction:
+    """Entry (r, c) of [a, b] = ab - ba without forming either product."""
+    ab = sum(x * b.get((k, c), 0) for (i, k), x in a.items() if i == r)
+    ba = sum(y * a.get((k, c), 0) for (i, k), y in b.items() if i == r)
+    return ab - ba
 
 
 def trace_prod(a: Matrix, b: Matrix) -> Fraction:
@@ -144,6 +161,8 @@ class LieAlgebra:
         for r in pos:
             basis.append(BasisElement("e", r, ef[r][0], r, len(basis)))
         self.basis: tuple[BasisElement, ...] = tuple(basis)
+        # integer epsilon-coordinates of each basis element's weight
+        self.weights = tuple(tuple(int(c) for c in b.weight.eps) for b in basis)
         self.h_start = len(pos)
         self.e_start = len(pos) + self.rank
         self._by_key = {
@@ -201,6 +220,8 @@ class LieAlgebra:
         # Root-vector part: each root owns disjoint matrix cells, so any
         # cell of a root vector marks its coefficient.
         for b in self.basis:
+            if not work:
+                break
             if b.kind == "h":
                 continue
             cell = next(iter(b.matrix))
@@ -219,38 +240,57 @@ class LieAlgebra:
     def structure_constants(self) -> dict[tuple[int, int], dict[int, int]]:
         """Full bracket table over ordered basis pairs (computed once).
 
+        Each pair is read by its weight sum (see the module docstring): a
+        sum that is neither 0 nor a root gives {} with no matrix work.
         Every coefficient is an int; a non-integral one raises
         ArithmeticError instead of being truncated.
         """
         if self._brackets is None:
+            wts = self.weights
+            owner = {w: k for k, w in enumerate(wts) if any(w)}
+            zero = (0,) * self.rank
             table: dict[tuple[int, int], dict[int, int]] = {}
             nb = len(self.basis)
             for i in range(nb):
                 table[(i, i)] = {}
                 for j in range(i + 1, nb):
-                    exp = self.expand(
-                        mat_bracket(self.basis[i].matrix, self.basis[j].matrix)
-                    )
-                    if any(c.denominator != 1 for c in exp.values()):
-                        raise ArithmeticError(
-                            f"[x_{i}, x_{j}] has a non-integral coefficient"
-                        )
-                    row = {k: int(c) for k, c in exp.items()}
+                    w = tuple(a + b for a, b in zip(wts[i], wts[j]))
+                    if w == zero:
+                        row = self._bracket_row(i, j)
+                    elif w in owner:
+                        row = self._bracket_row(i, j, owner[w])
+                    else:
+                        row = {}
                     table[(i, j)] = row
                     table[(j, i)] = {k: -v for k, v in row.items()}
             self._brackets = table
         return self._brackets
 
-    def h_of_root(self, alpha: Root) -> dict[int, Fraction]:
+    def _bracket_row(
+        self, i: int, j: int, target: Optional[int] = None
+    ) -> dict[int, int]:
+        """[x_i, x_j] over the basis, given that its weight is 0 (target
+        None) or the root of x_target."""
+        a, b = self.basis[i].matrix, self.basis[j].matrix
+        if target is None:
+            exp = self.expand(mat_bracket(a, b))
+        else:
+            m = self.basis[target].matrix
+            cell = next(iter(m))
+            c = mat_cell(a, b, *cell) / m[cell]
+            exp = {target: c} if c else {}
+        if any(c.denominator != 1 for c in exp.values()):
+            raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient")
+        return {k: int(c) for k, c in exp.items()}
+
+    def h_of_root(self, alpha: Root) -> dict[int, int]:
         """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based)."""
-        m = mat_bracket(self.e(alpha).matrix, self.f(alpha).matrix)
-        exp = self.expand(m)
-        out: dict[int, Fraction] = {}
-        for idx, cf in exp.items():
-            if not self.h_start <= idx < self.e_start:
-                raise ArithmeticError("[e_alpha, f_alpha] is not Cartan")
-            out[idx - self.h_start + 1] = cf
-        return out
+        if ("e", alpha.eps) not in self._by_key:
+            raise ValueError(
+                f"h_of_root needs a positive root of B_{self.rank}, got {alpha}"
+            )
+        row = self._bracket_row(self.e(alpha).index, self.f(alpha).index)
+        return {k - self.h_start + 1: c for k, c in row.items()}
 
     def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """A[i][j] = alpha_j(h_i) = <alpha_j, alpha_i^vee> (0-based rows/cols)."""

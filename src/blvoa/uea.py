@@ -21,6 +21,7 @@ monomial product.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -209,7 +210,7 @@ class UEA:
         self.h_start = lie.h_start
         self.e_start = lie.e_start
         self.brackets = lie.structure_constants()
-        self.weights = [tuple(int(c) for c in b.weight.eps) for b in lie.basis]
+        self.weights = lie.weights
         self._mono_cache: dict[tuple, dict[Monomial, int]] = {}
 
     # -- constructors -------------------------------------------------------
@@ -475,6 +476,8 @@ class CartanPolynomial(Sparse):
     @classmethod
     def variable(cls, rank: int, i: int) -> "CartanPolynomial":
         """h_i, 1-based."""
+        if not 1 <= i <= rank:
+            raise ValueError(f"no variable h_{i} in rank {rank}, need 1 <= i <= {rank}")
         return cls(rank, {tuple(int(j == i - 1) for j in range(rank)): 1})
 
     def __add__(self, other) -> "CartanPolynomial":
@@ -534,16 +537,35 @@ class CartanPolynomial(Sparse):
         return self.evaluate(mu.fundamental())
 
     def shift(self, deltas: Sequence[Rat]) -> "CartanPolynomial":
-        """Substitute h_i |-> h_i + deltas[i-1]."""
-        out = CartanPolynomial(self.rank, {})
+        """Substitute h_i |-> h_i + deltas[i-1].
+
+        Each term c h^p expands in one pass by the binomial theorem, as c
+        times the product over i of sum_q C(p_i, q) deltas[i-1]^(p_i - q)
+        h_i^q.  An integral Fraction delta is used as an int, so integral
+        input gives int coefficients.
+        """
+        if len(deltas) != self.rank:
+            raise ValueError(
+                f"shift needs {self.rank} deltas, one per h_i, got {len(deltas)}"
+            )
+        ds = [int(d) if d.denominator == 1 else d for d in map(exact, deltas)]
+        out: dict[tuple[int, ...], Rat] = {}
         for exps, c in self.terms.items():
-            term = CartanPolynomial.constant(self.rank, c)
-            for i, p in enumerate(exps):
-                base = CartanPolynomial.variable(self.rank, i + 1) + deltas[i]
-                for _ in range(p):
-                    term = term * base
-            out = out + term
-        return out
+            # per variable, the (exponent, factor) pairs of (h_i + d)^p
+            factors = [
+                [
+                    (q, math.comb(p, q) * d ** (p - q))
+                    for q in range(p + 1)
+                    if d or q == p
+                ]
+                for p, d in zip(exps, ds)
+            ]
+            for choice in itertools.product(*factors):
+                coeff = c
+                for _, f in choice:
+                    coeff *= f
+                add_into(out, tuple(q for q, _ in choice), coeff)
+        return CartanPolynomial(self.rank, out)
 
     def __repr__(self) -> str:
         if not self.terms:

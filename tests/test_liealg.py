@@ -1,8 +1,9 @@
 """Matrix realization: Chevalley relations, closed-form root vectors against
-the nested-bracket reference, structure constants, Jacobi, and the
-invariant form."""
+the nested-bracket reference, the weight-keyed structure constants and h_alpha
+against the full matrix-bracket expansion, Jacobi, and the invariant form."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,37 @@ def test_structure_constants_reject_a_non_integral_coefficient():
         lie.structure_constants()
 
 
+def test_structure_constants_reject_a_non_integral_root_coefficient():
+    # [e(eps2), e(eps1)] = -2 e(eps1+eps2); with e(eps1+eps2) scaled by 4 the
+    # coefficient read at one of its cells is -1/2, on the root-weight path
+    lie = LieAlgebra(2)
+    target = lie.e(Root([1, 1]))
+    target.matrix = mat_scale(Fraction(4), target.matrix)
+    i, j = lie.e(Root([0, 1])).index, lie.e(Root([1, 0])).index
+    with pytest.raises(ArithmeticError, match=re.escape(f"[x_{i}, x_{j}]")):
+        lie.structure_constants()
+
+
+def _matrix_structure_constants(lie) -> dict:
+    """The full-scan table: mat_bracket and expand on every ordered pair, the
+    reference for the table read by weight."""
+    table = {}
+    for x in lie.basis:
+        for y in lie.basis:
+            exp = lie.expand(mat_bracket(x.matrix, y.matrix))
+            assert all(c.denominator == 1 for c in exp.values())
+            table[(x.index, y.index)] = {k: int(c) for k, c in exp.items()}
+    return table
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_structure_constants_match_full_scan_reference(l):
+    lie = LieAlgebra(l)
+    table = lie.structure_constants()
+    assert table == _matrix_structure_constants(lie)
+    assert all(type(c) is int for row in table.values() for c in row.values())
+
+
 def test_structure_constants_antisymmetric():
     lie = get_lie(2)
     table = lie.structure_constants()
@@ -322,6 +354,25 @@ def test_h_of_root_pairs_like_coroot(l):
             fund = mu.fundamental()
             val = sum(c * fund[i - 1] for i, c in coeffs.items())
             assert val == coroot_pairing(mu, alpha)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_h_of_root_matches_matrix_expansion(l):
+    lie = LieAlgebra(l)
+    for alpha in lie.rootsys.positive_roots:
+        exp = lie.expand(mat_bracket(lie.e(alpha).matrix, lie.f(alpha).matrix))
+        got = lie.h_of_root(alpha)
+        assert got == {k - lie.h_start + 1: c for k, c in exp.items()}, alpha
+        assert all(type(c) is int for c in got.values()), alpha
+    assert lie._brackets is None   # no table was built
+
+
+@pytest.mark.parametrize(
+    "root", [Root([-1, 0]), Root([0, -1]), Root([1, 0, 0])], ids=repr
+)
+def test_h_of_root_rejects_a_root_that_is_not_positive(root):
+    with pytest.raises(ValueError, match=re.escape(repr(root))):
+        get_lie(2).h_of_root(root)
 
 
 def test_basis_is_independent():

@@ -433,7 +433,7 @@ def test_identity_6_empty_shift():
     assert check_identity(eng, 6, alpha=Root([1, 1]), k=0, poly=p)
 
 
-@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("l", [2, 3, 4])
 def test_identity_suite_all_pass(l):
     recs = identity_suite(get_engine(l))
     failures = [(i, p) for i, p, s in recs if s == "FAIL"]
@@ -504,6 +504,50 @@ def test_poly_shift_and_falling():
     f = falling(h1, 3)
     assert f.evaluate([5, 0]) == 5 * 4 * 3
     assert falling(h1, 0) == CartanPolynomial.constant(2, 1)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_cartan_variable_rejects_an_index_out_of_range(i):
+    with pytest.raises(ValueError, match=f"h_{i} "):
+        CartanPolynomial.variable(2, i)
+
+
+@pytest.mark.parametrize("deltas", [[1, 2, 99], [1]])
+def test_poly_shift_rejects_a_wrong_number_of_deltas(deltas):
+    p = CartanPolynomial.variable(2, 1) * CartanPolynomial.variable(2, 2)
+    with pytest.raises(ValueError, match=f"got {len(deltas)}"):
+        p.shift(deltas)
+
+
+def _shift_by_products(p, deltas):
+    """h_i -> h_i + deltas[i-1] by repeated products, one factor at a time:
+    the reference for the binomial shift."""
+    out = CartanPolynomial(p.rank, {})
+    for exps, c in p.terms.items():
+        term = CartanPolynomial.constant(p.rank, c)
+        for i, e in enumerate(exps):
+            base = CartanPolynomial.variable(p.rank, i + 1) + deltas[i]
+            for _ in range(e):
+                term = term * base
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_poly_shift_matches_repeated_products(l):
+    rng = random.Random(l)
+    for _ in range(20):
+        exps = [tuple(rng.randint(0, 3) for _ in range(l)) for _ in range(5)]
+        p = CartanPolynomial(l, {e: rng.randint(-5, 5) for e in exps})
+        rational = p * Fraction(1, 3) + Fraction(1, 2)
+        ints = [rng.randint(-3, 3) for _ in range(l)]
+        integral = [Fraction(d) for d in ints]
+        halves = [Fraction(rng.randint(-7, 7), 2) for _ in range(l)]
+        for deltas in (ints, integral, halves):
+            for poly in (p, rational):
+                assert poly.shift(deltas) == _shift_by_products(poly, deltas)
+        for deltas in (ints, integral):
+            assert all(type(c) is int for c in p.shift(deltas).terms.values())
 
 
 def test_poly_eval_on_weight():
