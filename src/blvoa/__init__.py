@@ -48,6 +48,7 @@ from .zero_weight import (
     explicit_q,
     generate_module,
     p0_basis,
+    q_value,
     singular_image,
     verify_membership,
 )

@@ -344,7 +344,7 @@ def affine_pairings(
     lam: AffineWeight, rs: RootSystem
 ) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
     """D and {alpha: (A, B)} over the finite roots alpha (integer
-    eps-coordinates, positive then negative), such that
+    eps-coordinates, in the order of _root_table), such that
     <lambda + rho, (alpha + m delta)^vee> = (A m + B) / D for every m.
 
     The pairing is the coroot vector dotted with (rho_bar + mu, k + h^vee),
@@ -354,31 +354,43 @@ def affine_pairings(
     shifted = (rs.weyl_vector + lam.finite).eps + (shift,)
     d = math.lcm(*(x.denominator for x in shifted))
     ints = [int(x * d) for x in shifted]
-    out = {}
-    for alpha in _finite_roots(rs.rank):
-        v = coroot(alpha, 1)
-        b = sum(x * y for x, y in zip(ints[:-1], v))
-        out[alpha] = (ints[-1] * v[-1], b)
-    return d, out
+    return d, {
+        alpha: (ints[-1] * scale, sum(p * q for p, q in zip(ints, x)))
+        for alpha, x, scale, _, _ in _root_table(rs.rank)
+    }
 
 
 @functools.lru_cache(maxsize=None)
-def _finite_roots(rank: int) -> tuple[tuple[int, ...], ...]:
-    """The roots of B_l in integer eps-coordinates, positive ones first."""
+def _root_table(
+    rank: int,
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int, Weight], ...]:
+    """(alpha, x, scale, lo, weight) for every root alpha of B_l in integer
+    eps-coordinates, sorted by alpha: x = scale alpha is its finite
+    coroot, scale = 2/(alpha, alpha), lo its lowest loop mode (0 for a
+    positive root, 1 for a negative one) and weight alpha as the Weight
+    that reported coroots carry.  (alpha + m delta)^vee is (x, scale m),
+    and affine_pairings dots x with rho_bar + mu."""
     positive = [tuple(map(int, r.eps)) for r in RootSystem(rank).positive_roots]
-    return tuple(positive + [tuple(-c for c in a) for a in positive])
+    rows = []
+    for sign, lo in ((1, 0), (-1, 1)):
+        for root in positive:
+            alpha = tuple(sign * c for c in root)
+            *x, scale = coroot(alpha, 1)
+            rows.append((alpha, tuple(x), scale, lo, Weight(alpha)))
+    return tuple(sorted(rows, key=lambda r: r[0]))
 
 
 @functools.lru_cache(maxsize=None)
 def _coroot_splits(rank: int) -> dict[tuple[int, ...], tuple[tuple, ...]]:
     """Every finite coroot x of B_l with its splits x = y + z into two
-    finite coroots y, z (integer eps-coordinates)."""
-    coroots = {coroot(alpha, 0)[:-1] for alpha in _finite_roots(rank)}
+    finite coroots y < z (integer eps-coordinates; y = z never occurs, as
+    no coroot is twice another)."""
+    coroots = {x for _, x, _, _, _ in _root_table(rank)}
     return {
         x: tuple(
             (y, z)
             for y in coroots
-            if (z := tuple(p - q for p, q in zip(x, y))) in coroots
+            if (z := tuple(p - q for p, q in zip(x, y))) in coroots and y < z
         )
         for x in coroots
     }
@@ -427,37 +439,37 @@ def is_admissible(
     if m_max is None:
         # B / A = (rho_bar + mu, alpha) / (k + h^vee)
         m_max = 2 * max(1, max(-(-abs(b) // a) for a, b in pairings.values()))
-    integral: list[tuple[int, tuple[int, ...]]] = []   # (m, alpha)
-    for alpha, (a, b) in pairings.items():
+    table = _root_table(l)
+    integral = []   # (m, row of table, A m + B)
+    for row, (a, b) in enumerate(pairings.values()):   # in the table's order
+        lo = table[row][3]
         g = math.gcd(a, d)
         if b % g:
             continue
         step = d // g
         residue = (-b // g) * pow(a // g, -1, step) % step
-        lo = 0 if next(c for c in alpha if c) > 0 else 1
         start = lo + (residue - lo) % step
-        integral.extend((m, alpha) for m in range(start, m_max + 1, step))
-    integral.sort()
+        integral.extend((m, row, a * m + b) for m in range(start, m_max + 1, step))
+    integral.sort()   # by mode, then alpha, as the table is sorted by alpha
     violations: list[tuple[AffineRealRoot, Fraction]] = []
     span = Echelon()
     by_finite: dict[tuple[int, ...], dict[int, tuple]] = {}
-    for m, alpha in integral:
-        a, b = pairings[alpha]
-        if a * m + b <= 0:
-            value = Fraction((a * m + b) // d)
-            violations.append((AffineRealRoot(Weight(alpha), m), value))
-        v = coroot(alpha, m)
+    for m, row, value in integral:
+        _, x, scale, _, weight = table[row]
+        if value <= 0:
+            violations.append((AffineRealRoot(weight, m), Fraction(value // d)))
         if span.dim <= l:
-            span.insert(dict(enumerate(v)))
-        by_finite.setdefault(v[:-1], {})[v[-1]] = (m, alpha)
+            span.insert(dict(enumerate(x + (scale * m,))))
+        by_finite.setdefault(x, {})[scale * m] = (m, row)
     # v = (x, t) is a sum of two collected coroots iff x = y + z for finite
     # coroots y, z collected with delta-parts s and t - s
     simple = []
+    splits_of = _coroot_splits(l)
     for x, modes in by_finite.items():
         splits = [
-            (by_finite[y], by_finite[z])
-            for y, z in _coroot_splits(l)[x]
-            if y in by_finite and z in by_finite
+            (ys, zs)
+            for y, z in splits_of[x]
+            if (ys := by_finite.get(y)) and (zs := by_finite.get(z))
         ]
         simple.extend(
             key
@@ -472,6 +484,6 @@ def is_admissible(
         m_max=m_max,
         integral_count=len(integral),
         span_rank=span.dim,
-        simple_coroots=[AffineRealRoot(Weight(alpha), m) for m, alpha in simple],
+        simple_coroots=[AffineRealRoot(table[row][4], m) for m, row in simple],
         violations=violations,
     )

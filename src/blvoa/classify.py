@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from .affine import AdmissibilityResult, AffineWeight, is_admissible, level_of
 from .liealg import LieAlgebra
 from .rootsys import RootSystem, Weight, weight_from_fundamental
-from .zero_weight import explicit_q
+from .zero_weight import q_numerator, q_terms
 
 
 @dataclass
@@ -42,36 +42,46 @@ def _sorted_entries(entries: Iterable[Entry]) -> list[Entry]:
 
 
 def solve_triangular(rank: int, n: int) -> list[Weight]:
-    """All common zeros of p_1, ..., p_l by back-substitution.
+    """All common zeros of p_1, ..., p_l by back-substitution, sorted by
+    fundamental coordinates (see _doubled_zeros)."""
+    return [_weight_of_doubled(d) for d in _doubled_zeros(rank, n)]
+
+
+def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
+    """The common zeros of p_1, ..., p_l in doubled fundamental coordinates
+    (2 c_1, ..., 2 c_l), all integers, sorted.
 
     p_l fixes h_l to one of 2n values; given h_{i+1}..h_l, each p_i fixes
-    h_i to one of n integers or n shifted half-integers.  Solutions are
-    deduplicated and returned sorted by fundamental coordinates.
+    h_i to one of n integers or n shifted half-integers,
+    t - (l - i - 1/2) - (2 (c_{i+1} + ... + c_{l-1}) + c_l) for t < n.
+    Distinct tails extend to distinct zeros, so there are no repeats.
     """
     if rank < 2 or n < 1:
         raise ValueError("need rank >= 2 and n >= 1")
-    partial: list[list[Fraction]] = [
-        [Fraction(t)] for t in range(2 * n)
-    ]   # reversed coords: [c_l], then [c_i, ..., c_l]
+    partial = [(2 * t,) for t in range(2 * n)]   # (2 c_{i+1}, ..., 2 c_l)
     for i in range(rank - 1, 0, -1):
-        grown: list[list[Fraction]] = []
+        offset = 2 * (rank - i) - 1   # 2 (l - i - 1/2)
+        grown = []
         for tail in partial:
-            # tail holds (c_{i+1}, ..., c_l)
-            chain = 2 * sum(tail[:-1], Fraction(0)) + tail[-1]
-            offset = Fraction(2 * (rank - i) - 1, 2)   # l - i - 1/2
-            values = {Fraction(t) for t in range(n)}
-            values |= {Fraction(t) - offset - chain for t in range(n)}
-            for v in sorted(values):
-                grown.append([v] + tail)
+            chain = 2 * sum(tail[:-1]) + tail[-1]
+            values = {2 * t for t in range(n)}
+            values |= {2 * t - offset - chain for t in range(n)}
+            grown.extend((v,) + tail for v in sorted(values))
         partial = grown
-    seen = set()
-    out: list[Weight] = []
-    for coords in partial:
-        key = tuple(coords)
-        if key not in seen:
-            seen.add(key)
-            out.append(weight_from_fundamental(coords))
-    return sorted(out, key=lambda w: w.fundamental())
+    return sorted(partial)
+
+
+def _quadrupled_eps(doubled: Sequence[int]) -> list[int]:
+    """4 mu in eps-coordinates from 2 c: 4 mu_l = 2 c_l and
+    4 mu_i = 2 (2 c_i) + 4 mu_{i+1} (weight_from_fundamental in integers)."""
+    out = [doubled[-1]]
+    for c in reversed(doubled[:-1]):
+        out.append(2 * c + out[-1])
+    return out[::-1]
+
+
+def _weight_of_doubled(doubled: Sequence[int]) -> Weight:
+    return Weight(Fraction(x, 4) for x in _quadrupled_eps(doubled))
 
 
 def mu_s(rs: RootSystem, subset: Sequence[int]) -> Weight:
@@ -119,8 +129,9 @@ def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
 
     For n = 1 this is the complete list: mu_S and mu_S' over all subsets
     S of {1..l-1}, 2^l entries.  For n > 1 the triangular-system zeros are
-    filtered by the vanishing of the explicit q polynomial and flagged as
-    candidates (complete=False): the full polynomial span could cut further.
+    filtered by the vanishing of q, evaluated from its product form in
+    integers, and flagged as candidates (complete=False): the full
+    polynomial span could cut further.
     """
     rs = lie.rootsys
     k = level_of(rs.rank, n)
@@ -140,11 +151,11 @@ def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
         return ClassificationResult(
             rs.rank, n, k, _sorted_entries(entries), complete=True
         )
-    q = explicit_q(lie, n)
+    terms = q_terms(rs.rank, n)
     entries = [
-        Entry(w, ("category-O", "candidate"))
-        for w in solve_triangular(rs.rank, n)
-        if q.evaluate_weight(w) == 0
+        Entry(_weight_of_doubled(d), ("category-O", "candidate"))
+        for d in _doubled_zeros(rs.rank, n)
+        if q_numerator(terms, n, _quadrupled_eps(d), 4) == 0
     ]
     return ClassificationResult(
         rs.rank, n, k, _sorted_entries(entries), complete=False

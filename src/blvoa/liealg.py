@@ -22,12 +22,14 @@ Algebras and Representation Theory, section 25).  When w is neither 0 nor a
 root the bracket is 0 with no matrix work; when w is a root gamma it is one
 integer, the entry of [x_i, x_j] at one cell of x_gamma divided by x_gamma's
 entry there; when w = 0 it is the Cartan element that ``expand`` reads off
-the diagonal.  h_alpha = [e_alpha, f_alpha] is that last case, so its
-coefficients over h_1..h_l are ints.
+the diagonal.  h_alpha = [e_alpha, f_alpha] is that last case; its int
+coefficients over h_1..h_l are read in closed form from the coroot of
+alpha, with no matrix work (the tests check them against the bracket).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -284,13 +286,22 @@ class LieAlgebra:
         return {k: int(c) for k, c in exp.items()}
 
     def h_of_root(self, alpha: Root) -> dict[int, int]:
-        """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based)."""
+        """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based).
+
+        h_alpha is the coroot v = 2 alpha/(alpha, alpha) in eps-coordinates,
+        and the simple coroots are eps_i - eps_(i+1) (i < l) and 2 eps_l, so
+        c_i = v_1 + ... + v_i for i < l and c_l = (v_1 + ... + v_l)/2, with
+        no matrix work.
+        """
         if ("e", alpha.eps) not in self._by_key:
             raise ValueError(
                 f"h_of_root needs a positive root of B_{self.rank}, got {alpha}"
             )
-        row = self._bracket_row(self.e(alpha).index, self.f(alpha).index)
-        return {k - self.h_start + 1: c for k, c in row.items()}
+        a = [int(c) for c in alpha.eps]
+        scale = 2 // sum(x * x for x in a)
+        partial = list(itertools.accumulate(scale * x for x in a))
+        partial[-1] //= 2   # even: the coroot lattice is spanned by h_1..h_l
+        return {i: c for i, c in enumerate(partial, 1) if c}
 
     def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """A[i][j] = alpha_j(h_i) = <alpha_j, alpha_i^vee> (0-based rows/cols)."""

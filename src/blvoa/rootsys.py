@@ -121,7 +121,7 @@ def coroot_pairing(mu: Weight, alpha: Weight) -> Fraction:
 
 def weight_from_fundamental(coords: Sequence[Rat]) -> Weight:
     """Inverse of Weight.fundamental: mu_l = c_l/2, mu_i = c_i + mu_{i+1}."""
-    c = [Fraction(x) for x in coords]
+    c = [Fraction(exact(x)) for x in coords]
     l = len(c)
     if l < 2:
         raise ValueError("rank must be at least 2")

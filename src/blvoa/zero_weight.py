@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .liealg import LieAlgebra
-from .rootsys import Weight, eps_root, harmonic_multiplicities
+from .rootsys import Root, Weight, eps_root, harmonic_multiplicities
 from .uea import (
     UEA,
     CartanPolynomial,
@@ -189,29 +189,77 @@ def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     return head * tail
 
 
-def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
-    """The short-root-direction polynomial: a sum over compositions of n.
+QChain = tuple[tuple[int, ...], int, int]   # (alpha, length, start)
 
-    Each composition (k_1..k_l) contributes 1/(k_1! 4^{k_1}) times a falling
-    chain of h_{eps_1} of length 2 k_1 starting at shift 2(n - k_1), times,
-    for each j = 2..l, a falling chain of h_{eps_1 - eps_j} of length k_j
-    starting at shift k_2 + ... + k_{j-1}.
+
+def q_terms(rank: int, n: int) -> list[tuple[int, list[QChain]]]:
+    """q as a sum over the compositions (k_1..k_l) of n, each term given as
+    (k_1, chains): the coefficient 1/(k_1! 4^{k_1}) times the falling chains
+    (alpha, length, start) of h_alpha, alpha in integer eps-coordinates.
+
+    Each term has a chain of h_{eps_1} of length 2 k_1 starting at shift
+    2(n - k_1) and, for each j = 2..l with k_j > 0, a chain of
+    h_{eps_1 - eps_j} of length k_j starting at shift k_2 + ... + k_{j-1}.
+    This list is the one source of q: explicit_q expands it, q_numerator
+    evaluates it.
     """
+    eps1 = tuple(map(int, eps_root(rank, 1).eps))
+    out = []
+    for ks in _compositions(n, rank):
+        chains = [(eps1, 2 * ks[0], 2 * (n - ks[0]))]
+        for j in range(2, rank + 1):
+            if ks[j - 1]:
+                alpha = tuple(map(int, eps_root(rank, 1, j, -1).eps))
+                chains.append((alpha, ks[j - 1], sum(ks[1 : j - 1])))
+        out.append((ks[0], chains))
+    return out
+
+
+def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
+    """The short-root-direction polynomial, expanded from q_terms."""
     l = lie.rank
-    h_eps1 = h_alpha_poly(lie, eps_root(l, 1))
-    h_diff = [h_alpha_poly(lie, eps_root(l, 1, j, -1)) for j in range(2, l + 1)]
     total = CartanPolynomial(l, {})
-    for ks in _compositions(n, l):
-        k1 = ks[0]
-        coeff = Fraction(1, math.factorial(k1) * 4**k1)
-        term = falling(h_eps1, 2 * k1, start=2 * (n - k1))
-        for j in range(2, l + 1):
-            kj = ks[j - 1]
-            if kj:
-                shift = sum(ks[1 : j - 1])
-                term = term * falling(h_diff[j - 2], kj, start=shift)
-        total = total + coeff * term
+    for k1, chains in q_terms(l, n):
+        term = CartanPolynomial.constant(l, 1)
+        for alpha, length, start in chains:
+            term = term * falling(h_alpha_poly(lie, Root(alpha)), length, start=start)
+        total = total + Fraction(1, math.factorial(k1) * 4**k1) * term
     return total
+
+
+def q_numerator(
+    terms: list[tuple[int, list[QChain]]], n: int, eps: Sequence[int], d: int
+) -> int:
+    """4^n n! d^{2n} q(mu) for mu = eps / d (integer eps, d > 0), an integer.
+
+    q is evaluated from its product form (q_terms): <mu, alpha^vee> d is the
+    integer p = 2 (alpha, eps)/(alpha, alpha), a chain of length m from s
+    is prod (p - t d) / d^m over t = s..s+m-1, and a term has degree
+    n + k_1, so scaling it by 4^{n-k_1} (n!/k_1!) d^{n-k_1} clears every
+    denominator.
+    """
+    pairing: dict[tuple[int, ...], int] = {}
+    total = 0
+    for k1, chains in terms:
+        term = math.factorial(n) // math.factorial(k1) * (4 * d) ** (n - k1)
+        for alpha, length, start in chains:
+            p = pairing.get(alpha)
+            if p is None:
+                dot = sum(a * x for a, x in zip(alpha, eps))
+                p = pairing[alpha] = 2 * dot // sum(a * a for a in alpha)
+            for t in range(start, start + length):
+                term *= p - t * d
+        total += term
+    return total
+
+
+def q_value(n: int, mu: Weight) -> Fraction:
+    """q(mu), exactly, from the product form: explicit_q's value at mu
+    without the expanded polynomial."""
+    d = math.lcm(*(c.denominator for c in mu.eps))
+    eps = [int(c * d) for c in mu.eps]
+    scale = 4**n * math.factorial(n) * d ** (2 * n)
+    return Fraction(q_numerator(q_terms(mu.rank, n), n, eps, d), scale)
 
 
 def explicit_polys(lie: LieAlgebra, n: int) -> list[CartanPolynomial]:

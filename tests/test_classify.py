@@ -1,6 +1,7 @@
 """Classification lists: triangular-system zeros, the subset formulas,
 category-O and finite-dimensional enumerations, and certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from blvoa.classify import (
     solve_triangular,
 )
 from blvoa.rootsys import Weight, inner, weight_from_fundamental
-from blvoa.zero_weight import explicit_p, explicit_q, p0_basis
+from blvoa.zero_weight import explicit_p, explicit_q, p0_basis, q_value
 
 
 def fund(w):
@@ -54,17 +55,82 @@ def test_solve_triangular_count_and_vanishing(l, n):
 
 
 def test_solve_triangular_finds_all_zeros_by_box_scan():
-    # independent oracle: scan a finite grid of half-integer coordinates
-    # and confirm no common zero outside the back-substitution output
-    lie = get_lie(2)
-    n = 1
-    ps = [explicit_p(lie, i, n) for i in (1, 2)]
-    sols = {fund(w) for w in solve_triangular(2, n)}
-    grid = [Fraction(t, 2) for t in range(-12, 13)]
-    for c1 in grid:
-        for c2 in grid:
-            if all(p.evaluate([c1, c2]) == 0 for p in ps):
-                assert (c1, c2) in sols
+    # independent oracle: the common zeros of p_1..p_l on a grid of
+    # half-integer coordinates that contains every zero, in both directions.
+    # p_i involves h_i..h_l only, so the grid is scanned from h_l down, and
+    # a prefix (h_i, ..., h_l) is kept only where p_i vanishes.
+    for l, n in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        lie = get_lie(l)
+        ps = [explicit_p(lie, i, n) for i in range(1, l + 1)]
+        for i, p in enumerate(ps):
+            assert all(not any(exps[:i]) for exps in p.terms)
+        sols = [fund(w) for w in solve_triangular(l, n)]
+        bound = 2 * l * n
+        assert all(abs(c) <= bound for s in sols for c in s)
+        grid = [Fraction(t, 2) for t in range(-2 * bound, 2 * bound + 1)]
+        tails = [()]
+        for i in range(l - 1, -1, -1):
+            tails = [
+                (c,) + tail
+                for tail in tails
+                for c in grid
+                if ps[i].evaluate([0] * i + [c, *tail]) == 0
+            ]
+        assert sorted(tails) == sols, (l, n)
+        for s in sols:
+            assert all(p.evaluate(s) == 0 for p in ps)
+
+
+def _fraction_solve_triangular(rank, n):
+    """The back-substitution in Fraction that solve_triangular replaced."""
+    partial = [[Fraction(t)] for t in range(2 * n)]
+    for i in range(rank - 1, 0, -1):
+        grown = []
+        for tail in partial:
+            chain = 2 * sum(tail[:-1], Fraction(0)) + tail[-1]
+            offset = Fraction(2 * (rank - i) - 1, 2)
+            values = {Fraction(t) for t in range(n)}
+            values |= {Fraction(t) - offset - chain for t in range(n)}
+            for v in sorted(values):
+                grown.append([v] + tail)
+        partial = grown
+    seen = set()
+    out = []
+    for coords in partial:
+        key = tuple(coords)
+        if key not in seen:
+            seen.add(key)
+            out.append(weight_from_fundamental(coords))
+    return sorted(out, key=lambda w: w.fundamental())
+
+
+DIFFERENTIAL_POINTS = [(l, n) for l in (2, 3, 4) for n in (1, 2, 3)] + [(5, 2)]
+
+
+@pytest.mark.parametrize("l,n", DIFFERENTIAL_POINTS)
+def test_solve_triangular_matches_fraction_reference(l, n):
+    assert solve_triangular(l, n) == _fraction_solve_triangular(l, n)
+
+
+@pytest.mark.parametrize("l,n", DIFFERENTIAL_POINTS)
+def test_q_value_matches_expanded_q(l, n):
+    q = explicit_q(get_lie(l), n)
+    rng = random.Random(100 * l + n)
+    randoms = [
+        weight_from_fundamental([Fraction(rng.randint(-12, 12), 2) for _ in range(l)])
+        for _ in range(40)
+    ]
+    for w in solve_triangular(l, n) + randoms:
+        got = q_value(n, w)
+        assert type(got) is Fraction and got == q.evaluate_weight(w), w
+
+
+@pytest.mark.parametrize("l,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_category_o_filter_matches_expanded_q(l, n):
+    lie = get_lie(l)
+    q = explicit_q(lie, n)
+    want = [w for w in solve_triangular(l, n) if q.evaluate_weight(w) == 0]
+    assert [e.weight for e in classify_category_o(lie, n).entries] == want
 
 
 def test_mu_subset_examples():

@@ -356,7 +356,7 @@ def test_h_of_root_pairs_like_coroot(l):
             assert val == coroot_pairing(mu, alpha)
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_h_of_root_matches_matrix_expansion(l):
     lie = LieAlgebra(l)
     for alpha in lie.rootsys.positive_roots:

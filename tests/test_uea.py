@@ -13,7 +13,7 @@ from conftest import get_engine, get_lie
 import blvoa.zero_weight
 from blvoa.affine import AffineWeight, VacuumModule, check_singular, is_admissible
 from blvoa.liealg import add_into
-from blvoa.rootsys import Root, RootSystem, Weight
+from blvoa.rootsys import Root, RootSystem, Weight, weight_from_fundamental
 from blvoa.uea import (
     CartanPolynomial,
     Echelon,
@@ -551,8 +551,6 @@ def test_poly_shift_matches_repeated_products(l):
 
 
 def test_poly_eval_on_weight():
-    from blvoa.rootsys import weight_from_fundamental
-
     p = CartanPolynomial.variable(2, 1) * CartanPolynomial.variable(2, 2)
     mu = weight_from_fundamental([Fraction(3, 2), 4])
     assert p.evaluate_weight(mu) == 6
@@ -851,6 +849,8 @@ def test_floats_are_refused():
         is_admissible(AffineWeight(0.5, Weight([0, 0])), RootSystem(2))
     with pytest.raises(TypeError):
         Weight([0.1, 0])
+    with pytest.raises(TypeError):
+        weight_from_fundamental([0.1, 0])
     with pytest.raises(TypeError):
         Root([1.0, 0])
     with pytest.raises(TypeError):
