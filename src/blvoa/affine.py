@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra, add_into
-from .rootsys import Root, RootSystem, Weight, eps_root, inner
+from .rootsys import RootSystem, Weight, eps_root, inner
 from .uea import (
     DEFAULT_TERM_GUARD,
     UEA,
@@ -303,7 +303,9 @@ class AffineRealRoot:
     m: int
 
     def __post_init__(self):
-        Root(self.alpha.eps)   # raises ValueError unless alpha is a B_l root
+        # a Fraction equals, and hashes as, the int of the same value
+        if self.alpha.eps not in _roots(self.alpha.rank):
+            raise ValueError(f"not a B_l root: {self.alpha.eps}")
         if self.m < 0:
             raise ValueError("loop mode must be nonnegative")
         if self.m == 0 and next(c for c in self.alpha.eps if c) < 0:
@@ -378,6 +380,12 @@ def _root_table(
             *x, scale = coroot(alpha, 1)
             rows.append((alpha, tuple(x), scale, lo, Weight(alpha)))
     return tuple(sorted(rows, key=lambda r: r[0]))
+
+
+@functools.lru_cache(maxsize=None)
+def _roots(rank: int) -> frozenset[tuple[int, ...]]:
+    """The roots of B_l in integer eps-coordinates, from _root_table."""
+    return frozenset(row[0] for row in _root_table(rank))
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 Elements are finite rational combinations of PBW monomials over the fixed
 basis order of :class:`~blvoa.liealg.LieAlgebra`: lowering vectors first,
 then Cartan, then raising vectors.  With that order a monomial lies in
-U(g)n_+ exactly when its raising block is nonempty, so reduction modulo
-U(g)n_+ is a syntactic filter, and the eigenvalue of a zero-weight element
-on a highest-weight vector is read off from its pure-Cartan part.
+U(g)n_+ exactly when its raising block is nonempty, and in n_-U(g) exactly
+when its first letter is lowering, so reduction modulo either is a
+syntactic filter, and the eigenvalue of a zero-weight element on a
+highest-weight vector is read off from its pure-Cartan part.
 
 Normalization inserts one letter at a time into a normal-ordered monomial,
 commuting it past each smaller letter through the integer bracket table,
@@ -385,6 +386,12 @@ class UEA:
             for m, c in r.terms.items()
             if all(idx < self.e_start for idx, _ in m)
         }
+        return UEAElement(self, kept)
+
+    def reduce_mod_nminus(self, r: UEAElement) -> UEAElement:
+        """Drop every monomial whose first letter is a lowering letter, the
+        span of the right ideal n_-U(g).  The empty monomial is kept."""
+        kept = {m: c for m, c in r.terms.items() if not m or m[0][0] >= self.h_start}
         return UEAElement(self, kept)
 
     def weight_of(self, r: UEAElement):

@@ -1,4 +1,4 @@
-"""Brute-force oracle for the zero-weight polynomial span.
+"""Oracle for the zero-weight polynomial span P_0.
 
 The adjoint submodule R of U(g) generated by the raising-operator image v
 of the singular vector is V(2n eps_1) with highest-weight vector v, so it
@@ -6,13 +6,22 @@ is built by descent from v under ad(f_i) alone, each vector carrying its
 weight, with one echelon of primitive integer rows per weight space
 (monomial columns, largest-monomial pivots).  The closed-form weight
 multiplicities of V(2n eps_1) set each space's target: a full space is
-skipped, and every space must close at its target.  Its zero-weight space,
-pushed through the highest-weight eigenvalue map, yields the polynomial
-span that cuts out the classified highest weights.  Each R_mu with
-mu >= 0 is spanned by the f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so
-that span is computed from the weights mu >= 0 alone.  The explicit
-closed-form polynomials are transcribed independently so membership can
-be cross-checked.
+skipped, and every space must close at its target.  P_0, the polynomial
+span that cuts out the classified highest weights (the Adamović–Milas
+method), is the Harish-Chandra projection of the zero-weight space R_0:
+the pure-Cartan part of the f·h·e normal form, which kills n_-U(g)
+(Dixmier, *Enveloping Algebras*, ch. 7).
+
+P_0 is computed in U(g)/n_-U(g).  Each R_mu with mu >= 0 is spanned by the
+f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so only the weights mu >= 0
+are built.  n_-U(g) is a right ideal, spanned by the monomials that start
+with a lowering letter, and ad(f_i) maps it into itself, so the descent
+drops those monomials after each ad(f_i).  What is left lies in
+U(h) U(n_+), whose weight-0 part U(h) holds the projection of R_0.  The
+projection is injective on each R_mu with mu >= 0 at every point run, and a
+space that it shrank would close short of its target and raise.  The
+explicit closed-form polynomials are transcribed independently so
+membership can be cross-checked.
 """
 
 from __future__ import annotations
@@ -96,14 +105,18 @@ def generate_module(
     Every ad(e_i) kills v, so R = U(n_-).v, and each row carries its
     weight, lowered by alpha_i per step.  The targets are the weight
     multiplicities of V(2n eps_1), whose sum is checked against the Weyl
-    dimension, over every weight or, with nonnegative, over the weights
-    mu >= 0 only (every partial sum of the eps-coordinates >= 0); the
-    descent builds no vector outside them.  ad(f_i).x is not computed
-    once the space it lands in is full, so no space can overfill.  A v
-    that some ad(e_i) does not kill, or a space that closes at a dimension
-    other than its target, signals a structure-constant bug and raises.
-    OracleCeilingExceeded is raised before any work when the targets sum
-    past the ceiling.
+    dimension; the descent builds no vector outside them.  Without
+    nonnegative it builds all of R in U(g).  With nonnegative it builds
+    the weights mu >= 0 only (every partial sum of the eps-coordinates
+    >= 0), in U(g)/n_-U(g): after each ad(f_i) it drops the monomials that
+    start with a lowering letter (Dixmier, *Enveloping Algebras*, ch. 7),
+    so its zero-weight rows are the Harish-Chandra projections of R_0.
+    ad(f_i).x is not computed once the space it lands in is full, so no
+    space can overfill.  A v that some ad(e_i) does not kill, or a space
+    that closes at a dimension other than its target, signals a
+    structure-constant bug, or on the quotient a projection that is not
+    injective, and raises.  OracleCeilingExceeded is raised before any
+    work when the targets sum past the ceiling.
     """
     lie = engine.lie
     l = lie.rank
@@ -138,6 +151,8 @@ def generate_module(
             if basis.dim_at(mu) >= targets.get(mu, 0):
                 continue
             u = engine.ad(f, x)
+            if nonnegative:
+                u = engine.reduce_mod_nminus(u)
             if u.is_zero():
                 continue
             row = basis.space(mu).insert(u.terms)
@@ -156,7 +171,8 @@ def p0_basis(
     engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
 ) -> list[CartanPolynomial]:
     """Canonical basis of the highest-weight polynomials of the zero-weight
-    space, computed from the oracle module at the weights >= 0."""
+    space, computed from the oracle module at the weights >= 0 modulo
+    n_-U(g)."""
     module = generate_module(engine, n, ceiling, nonnegative=True)
     polys = [
         engine.hw_polynomial(UEAElement(engine, row))

@@ -1,6 +1,7 @@
 """The printed P0 pinned byte for byte: exit code, stdout and stderr of
-``p0`` at small (rank, n), and of ``p0 --compare`` at n <= 2, each as text
-and ``--json``, against ``p0_golden.json``.
+``p0`` at small (rank, n), of ``p0 --compare`` at n <= 2, and of ``p0`` at
+(3, 3) and (5, 2), where the descent's quotient by n_-U(g) drops the most,
+each as text and ``--json``, against ``p0_golden.json``.
 
 The file is recorded with ``PYTHONPATH=src python tests/test_p0_golden.py``
 (``BLVOA_GUARD`` unset); record it only from a commit whose output is known
@@ -20,11 +21,16 @@ from blvoa.cli import GUARD_ENV, main
 GOLDEN = Path(__file__).with_name("p0_golden.json")
 P0_POINTS = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2)]
 COMPARE_POINTS = [(2, 1), (3, 1), (2, 2)]
+LARGE_P0_POINTS = [(3, 3), (5, 2)]
 
 
 def golden_argvs() -> list[list[str]]:
     out = []
-    for flags, points in (([], P0_POINTS), (["--compare"], COMPARE_POINTS)):
+    for flags, points in (
+        ([], P0_POINTS),
+        (["--compare"], COMPARE_POINTS),
+        ([], LARGE_P0_POINTS),
+    ):
         for l, n in points:
             for fmt in ([], ["--json"]):
                 out.append(["p0", *flags, "--rank", str(l), "--n", str(n), *fmt])

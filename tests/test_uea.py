@@ -112,15 +112,29 @@ def test_ad_examples():
 # -- ad by the Leibniz rule against the commutator of products ----------------
 
 
-@pytest.mark.parametrize("l", [2, 3, 4])
-def test_ad_matches_the_commutator_of_products(l):
-    eng = UEA(get_lie(l))
-    rng = random.Random(800 + l)
+def _random_fhe_element(eng, rng):
+    """A constant and 2-4 monomials of up to two f, h and e letters each, at
+    powers up to 3."""
     blocks = (
         range(eng.h_start),
         range(eng.h_start, eng.e_start),
         range(eng.e_start, eng.nbasis),
     )
+    terms = {(): rng.randint(-2, 2)}
+    for _ in range(rng.randint(2, 4)):
+        mono = {
+            rng.choice(block): rng.randint(1, 3)
+            for block in blocks
+            for _ in range(rng.randint(0, 2))
+        }
+        terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(1, 5), 2)
+    return eng.element(terms)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_ad_matches_the_commutator_of_products(l):
+    eng = UEA(get_lie(l))
+    rng = random.Random(800 + l)
     for _ in range(60):
         x = eng.element(
             {
@@ -128,17 +142,7 @@ def test_ad_matches_the_commutator_of_products(l):
                 for i in rng.sample(range(eng.nbasis), rng.randint(1, 3))
             }
         )
-        # a constant and 2-4 monomials of up to two f, h and e letters each,
-        # at powers up to 3
-        terms = {(): rng.randint(-2, 2)}
-        for _ in range(rng.randint(2, 4)):
-            mono = {
-                rng.choice(block): rng.randint(1, 3)
-                for block in blocks
-                for _ in range(rng.randint(0, 2))
-            }
-            terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(1, 5), 2)
-        y = eng.element(terms)
+        y = _random_fhe_element(eng, rng)
         assert eng.ad(x, y) == eng.multiply(x, y) - eng.multiply(y, x)
 
 
@@ -254,6 +258,29 @@ def test_reduce_mod_nplus():
     assert eng.reduce_mod_nplus(hh) == hh
     ff = eng.multiply(eng.f(Root([1, 0])), eng.f(Root([0, 1])))
     assert eng.reduce_mod_nplus(ff) == ff
+
+
+# n_-U(g) is the right ideal spanned by the monomials that start with a
+# lowering letter, and ad(f) maps it into itself: the oracle descent runs in
+# the quotient on these facts
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_reduce_mod_nminus_is_the_quotient_by_a_right_ideal(l):
+    eng = get_engine(l)
+    red = eng.reduce_mod_nminus
+    assert red(eng.one()) == eng.one()
+    lowering = [eng.gen(b) for b in eng.lie.basis[: eng.h_start]]
+    rng = random.Random(900 + l)
+    for _ in range(20):
+        x = _random_fhe_element(eng, rng)
+        r = red(x)
+        assert red(r) == r
+        # nothing led by a lowering letter is kept, and only that is dropped
+        assert all(not m or m[0][0] >= eng.h_start for m in r.terms)
+        assert all(m[0][0] < eng.h_start for m in (x - r).terms)
+        for f in lowering:
+            assert red(eng.multiply(f, x)).is_zero()
+            u = red(eng.ad(f, x))
+            assert u == red(eng.ad(f, r)) == red(-eng.multiply(x, f))
 
 
 def test_weight_of():

@@ -16,6 +16,7 @@ from blvoa.rootsys import (
 )
 from blvoa.uea import (
     CartanPolynomial,
+    Echelon,
     UEAElement,
     poly_echelon,
     poly_in_span,
@@ -117,11 +118,29 @@ def test_pruned_descent_matches_the_full_module(l, n):
     assert pruned.spaces.keys() == {w for w in full.spaces if _is_nonnegative(w)}
     for w, space in pruned.spaces.items():
         assert space.dim > 0
-        assert space.rows() == full.spaces[w].rows()
+        assert space.dim == full.spaces[w].dim
+        # the pruned descent runs modulo n_-U(g)
+        quotient = Echelon()
+        for row in full.spaces[w].rows():
+            quotient.insert(eng.reduce_mod_nminus(UEAElement(eng, row)).terms)
+        assert space.rows() == quotient.rows()
     from_full = poly_echelon(
         eng.hw_polynomial(UEAElement(eng, row)) for row in full.zero_weight_rows()
     )
     assert p0_basis(eng, n) == from_full
+
+
+# where the quotient drops the most: each space mu >= 0 still closes at its
+# multiplicity in V(2n eps_1), so the projection is injective there
+@pytest.mark.parametrize("l,n", [(4, 2), (2, 4), (3, 3)])
+def test_quotient_descent_closes_every_space_at_its_target(l, n):
+    module = generate_module(get_engine(l), n, nonnegative=True)
+    want = {
+        mu: m
+        for mu, m in harmonic_multiplicities(l, 2 * n).items()
+        if _is_nonnegative(mu)
+    }
+    assert {mu: s.dim for mu, s in module.spaces.items()} == want
 
 
 def test_descent_names_a_space_that_closes_short(monkeypatch):
