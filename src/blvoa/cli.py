@@ -84,9 +84,18 @@ def parse_weight(text: str, rank: int):
     return weight_from_fundamental(parts)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with only the subparser of ``command`` when it names one
+    (a call parses one command, so it builds only that one), else with all
+    six, which every help and usage message that lists them needs."""
     p = _Parser(prog="blvoa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_text: str):
+        """The subparser of ``name``, or None when this parser leaves it out."""
+        if command in COMMANDS and command != name:
+            return None
+        return sub.add_parser(name, help=help_text)
 
     def common(sp, n_flag=True, guard=False):
         sp.add_argument("--rank", type=int, required=True)
@@ -96,32 +105,32 @@ def build_parser() -> _Parser:
         if guard:
             sp.add_argument("--guard", type=int, default=None)
 
-    sp = sub.add_parser("classify", help="enumerate classified highest weights")
-    common(sp)
-    sp.add_argument("--category-o", action="store_true")
-    sp.add_argument("--finite-dim", action="store_true")
+    if sp := add("classify", "enumerate classified highest weights"):
+        common(sp)
+        sp.add_argument("--category-o", action="store_true")
+        sp.add_argument("--finite-dim", action="store_true")
 
-    sp = sub.add_parser("check-singular", help="annihilation test for the null vector")
-    common(sp, guard=True)
-    sp.add_argument("--level", type=str, default=None)
+    if sp := add("check-singular", "annihilation test for the null vector"):
+        common(sp, guard=True)
+        sp.add_argument("--level", type=str, default=None)
 
-    sp = sub.add_parser("p0", help="zero-weight polynomial span")
-    common(sp, guard=True)
-    sp.add_argument("--oracle-ceiling", type=int, default=DEFAULT_DIM_CEILING)
-    sp.add_argument("--compare", action="store_true")
+    if sp := add("p0", "zero-weight polynomial span"):
+        common(sp, guard=True)
+        sp.add_argument("--oracle-ceiling", type=int, default=DEFAULT_DIM_CEILING)
+        sp.add_argument("--compare", action="store_true")
 
-    sp = sub.add_parser("admissible", help="certify one affine weight")
-    common(sp, n_flag=False)
-    sp.add_argument("--mmax", type=int, default=None)
-    sp.add_argument("--level", type=str, required=True)
-    sp.add_argument("--weight", type=str, required=True)
+    if sp := add("admissible", "certify one affine weight"):
+        common(sp, n_flag=False)
+        sp.add_argument("--mmax", type=int, default=None)
+        sp.add_argument("--level", type=str, required=True)
+        sp.add_argument("--weight", type=str, required=True)
 
-    sp = sub.add_parser("dim", help="Weyl dimension of a dominant weight")
-    common(sp, n_flag=False)
-    sp.add_argument("--weight", type=str, required=True)
+    if sp := add("dim", "Weyl dimension of a dominant weight"):
+        common(sp, n_flag=False)
+        sp.add_argument("--weight", type=str, required=True)
 
-    sp = sub.add_parser("identities", help="run the rewriting-identity suite")
-    common(sp, guard=True)
+    if sp := add("identities", "run the rewriting-identity suite"):
+        common(sp, guard=True)
     return p
 
 
@@ -311,7 +320,8 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         check_args(args)

@@ -18,18 +18,22 @@ h_alpha for every positive root alpha.
 The bracket table is read by weight.  [x_i, x_j] has the weight
 w = wt_i + wt_j, and every root space is one-dimensional, so in a Chevalley
 basis [e_alpha, e_beta] = N e_(alpha+beta) (Humphreys, Introduction to Lie
-Algebras and Representation Theory, section 25).  When w is neither 0 nor a
-root the bracket is 0 with no matrix work; when w is a root gamma it is one
-integer, the entry of [x_i, x_j] at one cell of x_gamma divided by x_gamma's
-entry there; when w = 0 it is the Cartan element that ``expand`` reads off
-the diagonal.  h_alpha = [e_alpha, f_alpha] is that last case; its int
-coefficients over h_1..h_l are read in closed form from the coroot of
-alpha, with no matrix work (the tests check them against the bracket).
+Algebras and Representation Theory, section 25).  [h_k, x] is
+<wt(x), alpha_k^vee> x, read off x's integer weight with no matrix work.
+Among the other pairs, when w is neither 0 nor a root the bracket is 0 with
+no matrix work; when w is a root gamma it is one integer, the entry of
+[x_i, x_j] at one cell of x_gamma divided by x_gamma's entry there, both
+read from the basis matrices scaled to integers; when w = 0 it is the
+Cartan element that ``expand`` reads off the diagonal.  h_alpha =
+[e_alpha, f_alpha] is that last case; its int coefficients over h_1..h_l
+are read in closed form from the coroot of alpha, with no matrix work (the
+tests check them against the bracket).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -80,7 +84,7 @@ def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_cell(a: Matrix, b: Matrix, r: int, c: int) -> Fraction:
+def mat_cell(a: dict, b: dict, r: int, c: int):
     """Entry (r, c) of [a, b] = ab - ba without forming either product."""
     ab = sum(x * b.get((k, c), 0) for (i, k), x in a.items() if i == r)
     ba = sum(y * a.get((k, c), 0) for (i, k), y in b.items() if i == r)
@@ -243,24 +247,42 @@ class LieAlgebra:
         """Full bracket table over ordered basis pairs (computed once).
 
         Each pair is read by its weight sum (see the module docstring): a
-        sum that is neither 0 nor a root gives {} with no matrix work.
+        sum that is neither 0 nor a root gives {} with no matrix work, and
+        [h_k, x] = <wt(x), alpha_k^vee> x comes from x's integer weight.
         Every coefficient is an int; a non-integral one raises
         ArithmeticError instead of being truncated.
         """
         if self._brackets is None:
             wts = self.weights
-            owner = {w: k for k, w in enumerate(wts) if any(w)}
-            zero = (0,) * self.rank
+            # a weight sum has eps-coordinates in -2..2, so its base-5 code,
+            # which is additive, identifies it; code 0 is weight 0
+            code = [sum(c * 5**k for k, c in enumerate(w)) for w in wts]
+            owner = {w: k for k, w in enumerate(code) if w}
+            h_block = range(self.h_start, self.e_start)
+            # the basis matrices times their common denominator, in ints
+            den = math.lcm(
+                *(x.denominator for b in self.basis for x in b.matrix.values())
+            )
+            ints = [
+                {cell: x.numerator * (den // x.denominator) for cell, x in b.matrix.items()}
+                for b in self.basis
+            ]
             table: dict[tuple[int, int], dict[int, int]] = {}
             nb = len(self.basis)
             for i in range(nb):
                 table[(i, i)] = {}
                 for j in range(i + 1, nb):
-                    w = tuple(a + b for a, b in zip(wts[i], wts[j]))
-                    if w == zero:
+                    w = code[i] + code[j]
+                    if j in h_block:   # [x_i, h_k] = -<wt_i, alpha_k^vee> x_i
+                        v = -self._pairing(wts[i], j - self.h_start)
+                        row = {i: v} if v else {}
+                    elif i in h_block:
+                        v = self._pairing(wts[j], i - self.h_start)
+                        row = {j: v} if v else {}
+                    elif not w:
                         row = self._bracket_row(i, j)
                     elif w in owner:
-                        row = self._bracket_row(i, j, owner[w])
+                        row = self._root_row(i, j, owner[w], den, ints)
                     else:
                         row = {}
                     table[(i, j)] = row
@@ -268,22 +290,32 @@ class LieAlgebra:
             self._brackets = table
         return self._brackets
 
-    def _bracket_row(
-        self, i: int, j: int, target: Optional[int] = None
-    ) -> dict[int, int]:
-        """[x_i, x_j] over the basis, given that its weight is 0 (target
-        None) or the root of x_target."""
-        a, b = self.basis[i].matrix, self.basis[j].matrix
-        if target is None:
-            exp = self.expand(mat_bracket(a, b))
-        else:
-            m = self.basis[target].matrix
-            cell = next(iter(m))
-            c = mat_cell(a, b, *cell) / m[cell]
-            exp = {target: c} if c else {}
+    def _pairing(self, wt: tuple[int, ...], k: int) -> int:
+        """<wt, alpha_(k+1)^vee> for an integer eps-weight: wt_k - wt_(k+1),
+        or 2 wt_l for the short simple root (k 0-based)."""
+        return wt[k] - wt[k + 1] if k < self.rank - 1 else 2 * wt[k]
+
+    def _bracket_row(self, i: int, j: int) -> dict[int, int]:
+        """[x_i, x_j] over the basis, given that its weight is 0: the Cartan
+        element that expand reads off the diagonal."""
+        exp = self.expand(mat_bracket(self.basis[i].matrix, self.basis[j].matrix))
         if any(c.denominator != 1 for c in exp.values()):
             raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient")
         return {k: int(c) for k, c in exp.items()}
+
+    def _root_row(
+        self, i: int, j: int, target: int, den: int, ints: list[dict]
+    ) -> dict[int, int]:
+        """[x_i, x_j] = c x_target, given that its weight is the root of
+        x_target.  With the den-scaled integer matrices D = den x,
+        [D_i, D_j] = den c D_target, so c is read at one cell of D_target."""
+        m = ints[target]
+        cell = next(iter(m))
+        num, div = mat_cell(ints[i], ints[j], *cell), den * m[cell]
+        if num % div:
+            raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient")
+        c = num // div
+        return {target: c} if c else {}
 
     def h_of_root(self, alpha: Root) -> dict[int, int]:
         """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based).

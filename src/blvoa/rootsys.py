@@ -9,6 +9,7 @@ squared length 1 and long roots (eps_i +- eps_j) squared length 2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -91,13 +92,28 @@ class Root(Weight):
         return f"Root({', '.join(str(c) for c in self.eps)})"
 
 
-def eps_root(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
-    """eps_a, or eps_a + sign*eps_b when b is given (1-based), in rank l."""
+def _eps_coords(l: int, a: int, b: int = 0, sign: int = 0) -> tuple[int, ...]:
     coords = [0] * l
     coords[a - 1] = 1
     if b:
         coords[b - 1] = sign
-    return Root(coords)
+    return tuple(coords)
+
+
+def eps_root(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
+    """eps_a, or eps_a + sign*eps_b when b is given (1-based), in rank l."""
+    return Root(_eps_coords(l, a, b, sign))
+
+
+_EXACT_UNITS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
+
+
+def _built_root(coords: tuple[int, ...]) -> Root:
+    """The Root with these -1/0/1 coordinates, which the caller built as a
+    root: Root() would convert and validate each coordinate again."""
+    root = Root.__new__(Root)
+    root.eps = tuple(_EXACT_UNITS[c] for c in coords)
+    return root
 
 
 def _check_rank(a: Weight, b: Weight) -> None:
@@ -145,19 +161,17 @@ class RootSystem:
         if rank < 2:
             raise ValueError("rank must be at least 2 for type B")
         self.rank = rank
-        roots: list[Root] = []
+        coords = []
         for i in range(1, rank + 1):
-            roots.append(eps_root(rank, i))
+            coords.append(_eps_coords(rank, i))
             for j in range(i + 1, rank + 1):
                 for sign in (-1, 1):
-                    roots.append(eps_root(rank, i, j, sign))
-        self.positive_roots: tuple[Root, ...] = tuple(
-            sorted(roots, key=lambda r: r.eps)
-        )
+                    coords.append(_eps_coords(rank, i, j, sign))
+        self.positive_roots: tuple[Root, ...] = tuple(map(_built_root, sorted(coords)))
         self.simple_roots: tuple[Root, ...] = tuple(
-            eps_root(rank, i, i + 1, -1) for i in range(1, rank)
-        ) + (eps_root(rank, rank),)
-        self.highest_root = eps_root(rank, 1, 2, 1)
+            _built_root(_eps_coords(rank, i, i + 1, -1)) for i in range(1, rank)
+        ) + (_built_root(_eps_coords(rank, rank)),)
+        self.highest_root = _built_root(_eps_coords(rank, 1, 2, 1))
         # rho-bar = sum of fundamental weights = (l - i + 1/2) eps_i
         self.weyl_vector = Weight(
             Fraction(2 * (rank - i) + 1, 2) for i in range(1, rank + 1)
@@ -172,27 +186,37 @@ class RootSystem:
         return Weight([Fraction(1, 2)] * self.rank)
 
     def is_dominant_integral(self, mu: Weight) -> bool:
-        """mu is in P_+: nonnegative integer value on every simple coroot."""
-        for alpha in self.simple_roots:
-            v = coroot_pairing(mu, alpha)
-            if v.denominator != 1 or v < 0:
-                return False
-        return True
+        """mu is in P_+: nonnegative integer value on every simple coroot,
+        i.e. nonnegative integer fundamental coordinates."""
+        if mu.rank != self.rank:
+            raise ValueError(f"rank mismatch: {mu.rank} vs {self.rank}")
+        return all(v.denominator == 1 and v >= 0 for v in mu.fundamental())
 
     def weyl_dim(self, mu: Weight) -> int:
         """Dimension of the irreducible module with highest weight mu in P_+.
 
-        Product over positive roots of (mu + rho, alpha) / (rho, alpha).
+        Product over positive roots of (mu + rho, alpha) / (rho, alpha), in
+        the doubled eps-coordinates s = 2 (mu + rho) and r = 2 rho, which are
+        integers for mu in P_+ (r_i = 2 (l - i) + 1).  The roots eps_i,
+        eps_i - eps_j and eps_i + eps_j pair with x as x_i, x_i - x_j and
+        x_i + x_j.
         """
         if not self.is_dominant_integral(mu):
             raise ValueError(f"weight {mu} is not dominant integral")
-        shifted = mu + self.weyl_vector
-        num = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= inner(shifted, alpha) / inner(self.weyl_vector, alpha)
-        if num.denominator != 1 or num <= 0:
-            raise ArithmeticError(f"Weyl dimension came out as {num}")
-        return int(num)
+        l = self.rank
+
+        def product(x: list[int]) -> int:
+            out = math.prod(x)
+            for i, j in itertools.combinations(range(l), 2):
+                out *= (x[i] - x[j]) * (x[i] + x[j])
+            return out
+
+        r = [2 * (l - i) - 1 for i in range(l)]   # 0-based i
+        num = product([int(2 * m) + ri for m, ri in zip(mu.eps, r)])
+        den = product(r)
+        if num % den or num <= 0:
+            raise ArithmeticError(f"Weyl dimension came out as {Fraction(num, den)}")
+        return num // den
 
 
 def harmonic_multiplicities(rank: int, k: int) -> dict[tuple[int, ...], int]:

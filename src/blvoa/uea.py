@@ -784,17 +784,21 @@ def identity_suite(engine: UEA, bound: int = 3) -> list[tuple[int, dict, str]]:
     pos = engine.lie.rootsys.positive_roots
     records: list[tuple[int, dict, str]] = []
 
-    def run(ident: int, **params) -> None:
-        ok = check_identity(engine, ident, **params)
+    def record(ident: int, ok: bool, **params) -> None:
         records.append((ident, params, "pass" if ok else "FAIL"))
+
+    def run(ident: int, **params) -> bool:
+        ok = check_identity(engine, ident, **params)
+        record(ident, ok, **params)
+        return ok
 
     def skip(ident: int) -> None:
         records.append((ident, {"i": "3..l empty"}, "skip"))
 
     for alpha in pos:
         h_alpha = h_alpha_poly(engine.lie, alpha)
-        for m in range(1, bound + 1):
-            run(1, alpha=alpha, m=m)
+        # identity 1 is identity 10 at k = m: one check serves both records
+        diagonal = {m: run(1, alpha=alpha, m=m) for m in range(1, bound + 1)}
         for k in range(1, bound + 1):
             for m in range(1, k):
                 run(2, alpha=alpha, k=k, m=m)
@@ -805,8 +809,9 @@ def identity_suite(engine: UEA, bound: int = 3) -> list[tuple[int, dict, str]]:
             ):
                 run(6, alpha=alpha, k=k, poly=poly)
         for m in range(1, bound + 1):
-            for k in range(1, m + 1):
+            for k in range(1, m):
                 run(10, alpha=alpha, k=k, m=m)
+            record(10, diagonal[m], alpha=alpha, k=m, m=m)
     for i in range(2, l + 1):
         for k in range(0, bound + 1):
             run(3, k=k, i=i)

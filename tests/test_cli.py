@@ -1,11 +1,14 @@
 """Command-line surface: outputs, JSON schema and round-trip, exit codes,
 guard overrides."""
 
+import argparse
 import json
 
 import pytest
 
-from blvoa.cli import main
+from blvoa.cli import COMMANDS, build_parser, main
+from blvoa.liealg import LieAlgebra
+from blvoa.rootsys import RootSystem
 
 
 def run(capsys, *argv):
@@ -249,28 +252,64 @@ def test_admissible_rejects_bad_level_and_window(capsys, argv, message):
     assert err.startswith("usage error: ") and message in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--rank", "2", "--guard", "5"),
-        ("classify", "--rank", "2", "--oracle-ceiling", "5"),
-        ("classify", "--rank", "2", "--mmax", "3"),
-        ("check-singular", "--rank", "2", "--oracle-ceiling", "5"),
-        ("check-singular", "--rank", "2", "--mmax", "3"),
-        ("p0", "--rank", "2", "--mmax", "2"),
-        ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
-         "--guard", "5"),
-        ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
-         "--oracle-ceiling", "5"),
-        ("dim", "--rank", "2", "--weight", "2,0", "--guard", "5"),
-        ("dim", "--rank", "2", "--weight", "2,0", "--oracle-ceiling", "5"),
-        ("dim", "--rank", "2", "--weight", "2,0", "--mmax", "3"),
-        ("identities", "--rank", "2", "--oracle-ceiling", "5"),
-        ("identities", "--rank", "2", "--mmax", "3"),
-    ],
-)
+# every flag a command stopped accepting
+REMOVED_FLAG_ARGVS = [
+    ("classify", "--rank", "2", "--guard", "5"),
+    ("classify", "--rank", "2", "--oracle-ceiling", "5"),
+    ("classify", "--rank", "2", "--mmax", "3"),
+    ("check-singular", "--rank", "2", "--oracle-ceiling", "5"),
+    ("check-singular", "--rank", "2", "--mmax", "3"),
+    ("p0", "--rank", "2", "--mmax", "2"),
+    ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
+     "--guard", "5"),
+    ("admissible", "--rank", "2", "--level", "-1/2", "--weight", "0,0",
+     "--oracle-ceiling", "5"),
+    ("dim", "--rank", "2", "--weight", "2,0", "--guard", "5"),
+    ("dim", "--rank", "2", "--weight", "2,0", "--oracle-ceiling", "5"),
+    ("dim", "--rank", "2", "--weight", "2,0", "--mmax", "3"),
+    ("identities", "--rank", "2", "--oracle-ceiling", "5"),
+    ("identities", "--rank", "2", "--mmax", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAG_ARGVS)
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "usage error" in err
+
+
+def _subcommands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_parser_builds_only_the_named_command(command):
+    assert _subcommands(build_parser(command)) == [command]
+
+
+@pytest.mark.parametrize("command", [None, "-h", "frobnicate"])
+def test_parser_builds_every_command_for_any_other_first_argument(command):
+    assert _subcommands(build_parser(command)) == list(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv,lie_algebras",
+    [(("identities", "--rank", "2"), 2), (("dim", "--rank", "3", "--weight", "1,0,0"), 0)],
+)
+def test_consecutive_calls_share_no_construction(capsys, monkeypatch, argv, lie_algebras):
+    """Each call builds its own LieAlgebra and RootSystem, as separate CLI
+    processes do: nothing a call builds is reused by the next."""
+    built = []
+    for cls in (LieAlgebra, RootSystem):
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for _ in range(2):
+        assert run(capsys, *argv)[0] == 0
+    assert built.count(LieAlgebra) == lie_algebras
+    assert built.count(RootSystem) == 2

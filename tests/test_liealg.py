@@ -262,7 +262,7 @@ def _matrix_structure_constants(lie) -> dict:
     return table
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7])
 def test_structure_constants_match_full_scan_reference(l):
     lie = LieAlgebra(l)
     table = lie.structure_constants()

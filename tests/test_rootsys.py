@@ -1,6 +1,8 @@
 """Root system of B_l: enumeration, the normalized form, coroot pairings,
-dominance and the Weyl dimension formula."""
+dominance and the Weyl dimension formula, the integer versions against the
+Fraction references."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -182,6 +184,71 @@ def test_weyl_dim_rejects_non_dominant():
     rs = build_root_system(2)
     with pytest.raises(ValueError):
         rs.weyl_dim(Fraction(-1, 2) * rs.fundamental_weight(1))
+
+
+def _reference_is_dominant_integral(rs, mu) -> bool:
+    """The Fraction reference: coroot_pairing against every simple root."""
+    for alpha in rs.simple_roots:
+        v = coroot_pairing(mu, alpha)
+        if v.denominator != 1 or v < 0:
+            return False
+    return True
+
+
+def _reference_weyl_dim(rs, mu) -> int:
+    """The Fraction reference: the product over positive roots of
+    (mu + rho, alpha) / (rho, alpha) with inner()."""
+    if not _reference_is_dominant_integral(rs, mu):
+        raise ValueError(f"weight {mu} is not dominant integral")
+    shifted = mu + rs.weyl_vector
+    num = Fraction(1)
+    for alpha in rs.positive_roots:
+        num *= inner(shifted, alpha) / inner(rs.weyl_vector, alpha)
+    if num.denominator != 1 or num <= 0:
+        raise ArithmeticError(f"Weyl dimension came out as {num}")
+    return int(num)
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+# fundamental coordinates: negative, half-integral, non-integral, dominant
+BOX = [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_integer_weyl_dim_and_dominance_match_fraction_reference(l):
+    """The whole box at ranks 2-4; at ranks 5 and 6, 300 of its weights
+    and the 2^l with coordinates 0 and 2."""
+    rs = build_root_system(l)
+    box = list(itertools.product(BOX, repeat=l))
+    if l > 4:
+        box = random.Random(l).sample(box, 300)
+        box += itertools.product(BOX[1::4], repeat=l)
+    dominant = 0
+    for coords in box:
+        mu = weight_from_fundamental(coords)
+        want = _reference_is_dominant_integral(rs, mu)
+        assert rs.is_dominant_integral(mu) is want, coords
+        assert _outcome(rs.weyl_dim, mu) == _outcome(_reference_weyl_dim, rs, mu)
+        dominant += want
+    if l <= 4:
+        assert dominant == 3**l
+    else:
+        assert dominant >= 2**l
+    wrong_rank = Weight([0] * (l + 1))
+    for method, reference in (
+        (rs.is_dominant_integral, _reference_is_dominant_integral),
+        (rs.weyl_dim, _reference_weyl_dim),
+    ):
+        got = _outcome(method, wrong_rank)
+        assert got == _outcome(reference, rs, wrong_rank)
+        assert got[0] is ValueError
 
 
 def test_root_validation():

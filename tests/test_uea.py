@@ -10,6 +10,7 @@ import pytest
 
 from conftest import get_engine, get_lie
 
+import blvoa.uea
 import blvoa.zero_weight
 from blvoa.affine import AffineWeight, VacuumModule, check_singular, is_admissible
 from blvoa.liealg import add_into
@@ -470,6 +471,88 @@ def test_identity_suite_all_pass(l):
         assert skipped == {7, 8, 9, 11, 12}
     else:
         assert skipped == set()
+
+
+def _reference_identity_suite(engine, check, bound: int = 3) -> list:
+    """The reference for identity_suite: one call of check (check_identity
+    or a stand-in) for every record, identity 10 at k = m included."""
+    l = engine.lie.rank
+    records = []
+
+    def run(ident, **params):
+        ok = check(engine, ident, **params)
+        records.append((ident, params, "pass" if ok else "FAIL"))
+
+    for alpha in engine.lie.rootsys.positive_roots:
+        h_alpha = h_alpha_poly(engine.lie, alpha)
+        for m in range(1, bound + 1):
+            run(1, alpha=alpha, m=m)
+        for k in range(1, bound + 1):
+            for m in range(1, k):
+                run(2, alpha=alpha, k=k, m=m)
+        for k in range(0, bound + 1):
+            for poly in (
+                CartanPolynomial.variable(l, 1),
+                h_alpha * h_alpha - 3 * CartanPolynomial.variable(l, l),
+            ):
+                run(6, alpha=alpha, k=k, poly=poly)
+        for m in range(1, bound + 1):
+            for k in range(1, m + 1):
+                run(10, alpha=alpha, k=k, m=m)
+    for i in range(2, l + 1):
+        for k in range(0, bound + 1):
+            run(3, k=k, i=i)
+            for j in range(1, 3):
+                run(4, k=k, j=j, i=i)
+        for r in range(1, bound + 1):
+            for k in range(1, bound + 1):
+                run(5, r=r, k=k, i=i)
+    if l < 3:
+        for ident in (7, 8, 9, 11, 12):
+            records.append((ident, {"i": "3..l empty"}, "skip"))
+    else:
+        for i in range(3, l + 1):
+            for m in range(1, bound + 1):
+                for k in range(1, m + 1):
+                    run(7, i=i, k=k, m=m)
+                for k in range(1, bound + 1):
+                    run(8, i=i, k=k, m=m)
+                    run(9, i=i, k=k, m=m)
+                    run(12, i=i, k=k, m=m)
+            for k in range(1, bound + 1):
+                run(11, i=i, k=k)
+    return records
+
+
+def _listed(records) -> list:
+    """Records with their params as (key, value) lists, so that the key
+    order, which the printed FAIL lines show, is compared too."""
+    return [(ident, list(params.items()), status) for ident, params, status in records]
+
+
+@pytest.mark.parametrize(
+    "l,counts",
+    [(2, {"pass": 101, "skip": 5}), (3, {"pass": 258}), (4, {"pass": 455})],
+)
+def test_identity_suite_matches_a_check_per_record(l, counts, monkeypatch):
+    """Identity 1 is checked once and recorded for identity 10 at k = m as
+    well; the records (id, params, status, in order) are unchanged, also
+    when that check fails."""
+    engine = get_engine(l)
+    recs = identity_suite(engine)
+    assert _listed(recs) == _listed(_reference_identity_suite(engine, check_identity))
+    assert Counter(s for _, _, s in recs) == counts
+
+    def failing_at_2(engine, ident, **params):
+        # identity 1 at m = 2 delegates here too, through the module global
+        if ident == 10 and params["k"] == params["m"] == 2:
+            return False
+        return check_identity(engine, ident, **params)
+
+    monkeypatch.setattr(blvoa.uea, "check_identity", failing_at_2)
+    recs = identity_suite(engine)
+    assert _listed(recs) == _listed(_reference_identity_suite(engine, failing_at_2))
+    assert Counter(s for _, _, s in recs)["FAIL"] == 2 * l * l
 
 
 def _root(l, a, b=0, sign=0):
