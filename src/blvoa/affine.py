@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra, add_into
-from .rootsys import RootSystem, Weight, eps_root, inner
+from .rootsys import RootSystem, Weight, eps_root, inner, int_coroot
 from .uea import (
     DEFAULT_TERM_GUARD,
     UEA,
@@ -289,10 +289,11 @@ class AffineWeight:
 
 def coroot(alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
     """(alpha + m delta)^vee = (2 alpha, 2m)/(alpha, alpha) in h oplus Qc
-    coordinates, for a B_l root alpha in integer eps-coordinates: the scale
-    2/(alpha, alpha) is 2 for a short root and 1 for a long one."""
-    scale = 2 // sum(a * a for a in alpha)
-    return tuple(scale * a for a in alpha) + (scale * m,)
+    coordinates, for a B_l root alpha in integer eps-coordinates: the
+    finite part is alpha^vee, and 2/(alpha, alpha) is half of
+    (alpha^vee, alpha^vee)."""
+    x = int_coroot(alpha)
+    return x + (m * sum(c * c for c in x) // 2,)
 
 
 @dataclass(frozen=True)

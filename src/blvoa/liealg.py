@@ -9,8 +9,9 @@ in the matrix units E (1-based):
     e_alpha = s (E_ab - E_b'a'),    f_alpha = t (E_ba - E_a'b'),
 
 with (a, b, s, t) = (i, j, 1, 1) for eps_i - eps_j, (i, l+1, 1, 2) for
-eps_i and (i, j', -1/2, -2) for eps_i + eps_j, and h_i = [e_i, f_i] for
-the simple roots.  These are the matrices that the nested brackets of the
+eps_i and (i, j', -1/2, -2) for eps_i + eps_j.  h_i is the diagonal of the
+simple coroot alpha_i^vee = 2 alpha_i/(alpha_i, alpha_i), which is
+[e_i, f_i].  These are the matrices that the nested brackets of the
 Chevalley generators give (checked in the tests), which pins every
 normalization; in particular [e_alpha, f_alpha] is exactly the coroot
 h_alpha for every positive root alpha.
@@ -19,15 +20,18 @@ The bracket table is read by weight.  [x_i, x_j] has the weight
 w = wt_i + wt_j, and every root space is one-dimensional, so in a Chevalley
 basis [e_alpha, e_beta] = N e_(alpha+beta) (Humphreys, Introduction to Lie
 Algebras and Representation Theory, section 25).  [h_k, x] is
-<wt(x), alpha_k^vee> x, read off x's integer weight with no matrix work.
-Among the other pairs, when w is neither 0 nor a root the bracket is 0 with
-no matrix work; when w is a root gamma it is one integer, the entry of
-[x_i, x_j] at one cell of x_gamma divided by x_gamma's entry there, both
-read from the basis matrices scaled to integers; when w = 0 it is the
-Cartan element that ``expand`` reads off the diagonal.  h_alpha =
-[e_alpha, f_alpha] is that last case; its int coefficients over h_1..h_l
-are read in closed form from the coroot of alpha, with no matrix work (the
-tests check them against the bracket).
+<wt(x), alpha_k^vee> x, read off x's integer weight.  Among the other
+pairs, when w is neither 0 nor a root the bracket is 0; when w is a root
+gamma it is one integer, the entry of [x_i, x_j] at one cell of x_gamma
+divided by x_gamma's entry there, both read from the basis matrices scaled
+to integers; when w = 0 the pair is (f_alpha, e_alpha), whose bracket is
+-h_alpha, read in closed form from the coroot of alpha by h_of_root.
+
+The invariant form, normalized so (e_theta, f_theta) = 1, is read off the
+coroots too: (h_i, h_j) = (alpha_i^vee, alpha_j^vee) in eps-coordinates,
+(e_alpha, f_alpha) = 2/(alpha, alpha), which invariance makes half of
+(h_alpha, h_alpha), and every other pair is 0.  The tests check both
+against the matrix brackets and (x, y) = tr(xy)/2.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .rootsys import (
     build_root_system,
     coroot_pairing,
     eps_root,
+    int_coroot,
 )
 
 # {(row, col): entry}, 0-based, holding only the nonzero entries, so that
@@ -60,42 +65,11 @@ def add_into(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    out = dict(a)
-    for key, y in b.items():
-        add_into(out, key, -y)
-    return out
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return {key: c * x for key, x in a.items()} if c else {}
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    out: Matrix = {}
-    for (i, j), x in a.items():
-        for (jj, k), y in b.items():
-            if j == jj:
-                add_into(out, (i, k), x * y)
-    return out
-
-
-def mat_bracket(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def mat_cell(a: dict, b: dict, r: int, c: int):
     """Entry (r, c) of [a, b] = ab - ba without forming either product."""
     ab = sum(x * b.get((k, c), 0) for (i, k), x in a.items() if i == r)
     ba = sum(y * a.get((k, c), 0) for (i, k), y in b.items() if i == r)
     return ab - ba
-
-
-def trace_prod(a: Matrix, b: Matrix) -> Fraction:
-    """tr(a b) without forming the product."""
-    return sum(
-        (x * b[j, i] for (i, j), x in a.items() if (j, i) in b), Fraction(0)
-    )
 
 
 class BasisElement:
@@ -133,8 +107,6 @@ class LieAlgebra:
         self.rank = rank
         self.n = 2 * rank + 1
         self._build_basis()
-        # tr(e_theta f_theta) = 2 for the closed forms, so (e_theta, f_theta) = 1
-        self.form_scale = Fraction(1, 2)
         self._brackets: Optional[dict] = None
 
     # -- construction -----------------------------------------------------
@@ -161,8 +133,16 @@ class LieAlgebra:
         for r in pos:
             basis.append(BasisElement("f", r, ef[r][1], -r, len(basis)))
         zero = Weight([0] * l)
-        for i, alpha in enumerate(self.rootsys.simple_roots, 1):
-            h = mat_bracket(*ef[alpha])
+        # simple coroots in integer eps-coordinates; h_i is the diagonal
+        # diag(v, 0, -v reversed) of v = alpha_i^vee
+        self.simple_coroots = tuple(
+            int_coroot(tuple(map(int, a.eps))) for a in self.rootsys.simple_roots
+        )
+        for i, v in enumerate(self.simple_coroots, 1):
+            h: Matrix = {}
+            for k, c in enumerate(v):
+                if c:
+                    h[k, k], h[p - k - 2, p - k - 2] = Fraction(c), Fraction(-c)
             basis.append(BasisElement("h", i, h, zero, len(basis)))
         for r in pos:
             basis.append(BasisElement("e", r, ef[r][0], r, len(basis)))
@@ -196,48 +176,22 @@ class LieAlgebra:
 
     # -- algebra operations --------------------------------------------------
 
-    def invariant_form(self, x, y) -> Fraction:
-        """Invariant bilinear form, normalized so (e_theta, f_theta) = 1.
+    def invariant_form(self, x: BasisElement, y: BasisElement) -> int:
+        """(x, y) for basis elements x and y, normalized so (e_theta, f_theta) = 1.
 
-        Equivalently the induced form on the dual of the Cartan satisfies
-        (theta, theta) = 2, hence (e_alpha, f_alpha) = 2/(alpha, alpha).
+        (h_i, h_j) = (alpha_i^vee, alpha_j^vee) in eps-coordinates, and
+        (e_alpha, f_alpha) = (f_alpha, e_alpha) = 2/(alpha, alpha), which is
+        half of (alpha^vee, alpha^vee) because invariance gives
+        (h_alpha, h_alpha) = (h_alpha, [e_alpha, f_alpha]) = 2 (e_alpha, f_alpha).
+        Every other pair is 0: a nonzero pair has weights summing to 0.
         """
-        mx = x.matrix if isinstance(x, BasisElement) else x
-        my = y.matrix if isinstance(y, BasisElement) else y
-        return self.form_scale * trace_prod(mx, my)
-
-    def expand(self, m: Matrix) -> dict[int, Fraction]:
-        """Expand a matrix of the algebra over the fixed basis."""
-        out: dict[int, Fraction] = {}
-        work = m
-        # Cartan part from the diagonal: a_j = sum of h-coefficients.
-        a = [work.get((i, i), Fraction(0)) for i in range(self.rank)]
-        c = [Fraction(0)] * self.rank
-        run = Fraction(0)
-        for j in range(self.rank - 1):
-            run += a[j]
-            c[j] = run
-        c[self.rank - 1] = (a[self.rank - 1] + (run if self.rank > 1 else 0)) / 2
-        for j, cj in enumerate(c):
-            if cj:
-                out[self.h_start + j] = cj
-                hb = self.basis[self.h_start + j].matrix
-                work = mat_sub(work, mat_scale(cj, hb))
-        # Root-vector part: each root owns disjoint matrix cells, so any
-        # cell of a root vector marks its coefficient.
-        for b in self.basis:
-            if not work:
-                break
-            if b.kind == "h":
-                continue
-            cell = next(iter(b.matrix))
-            if cell in work:
-                coeff = work[cell] / b.matrix[cell]
-                out[b.index] = coeff
-                work = mat_sub(work, mat_scale(coeff, b.matrix))
-        if work:
-            raise ArithmeticError("matrix does not lie in the algebra span")
-        return out
+        wx, wy = self.weights[x.index], self.weights[y.index]
+        if any(a + b for a, b in zip(wx, wy)):
+            return 0
+        if x.kind == "h":
+            u, v = self.simple_coroots[x.label - 1], self.simple_coroots[y.label - 1]
+            return sum(a * b for a, b in zip(u, v))
+        return sum(a * a for a in int_coroot(wx)) // 2
 
     def bracket(self, i: int, j: int) -> dict[int, int]:
         """[x_i, x_j] expanded in the basis, by index."""
@@ -247,7 +201,8 @@ class LieAlgebra:
         """Full bracket table over ordered basis pairs (computed once).
 
         Each pair is read by its weight sum (see the module docstring): a
-        sum that is neither 0 nor a root gives {} with no matrix work, and
+        sum that is neither 0 nor a root gives {}, a sum of 0 gives
+        [f_alpha, e_alpha] = -h_alpha from h_of_root's closed form, and
         [h_k, x] = <wt(x), alpha_k^vee> x comes from x's integer weight.
         Every coefficient is an int; a non-integral one raises
         ArithmeticError instead of being truncated.
@@ -280,7 +235,7 @@ class LieAlgebra:
                         v = self._pairing(wts[j], i - self.h_start)
                         row = {j: v} if v else {}
                     elif not w:
-                        row = self._bracket_row(i, j)
+                        row = self._cartan_row(i, j)
                     elif w in owner:
                         row = self._root_row(i, j, owner[w], den, ints)
                     else:
@@ -295,13 +250,15 @@ class LieAlgebra:
         or 2 wt_l for the short simple root (k 0-based)."""
         return wt[k] - wt[k + 1] if k < self.rank - 1 else 2 * wt[k]
 
-    def _bracket_row(self, i: int, j: int) -> dict[int, int]:
-        """[x_i, x_j] over the basis, given that its weight is 0: the Cartan
-        element that expand reads off the diagonal."""
-        exp = self.expand(mat_bracket(self.basis[i].matrix, self.basis[j].matrix))
-        if any(c.denominator != 1 for c in exp.values()):
-            raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient")
-        return {k: int(c) for k, c in exp.items()}
+    def _cartan_row(self, i: int, j: int) -> dict[int, int]:
+        """[x_i, x_j] over the basis, given that its weight is 0 and neither
+        is in the Cartan: x_i = f_alpha and x_j = e_alpha (i < j), so the
+        bracket is -h_alpha."""
+        try:
+            h = self._h_coefficients(self.weights[j])
+        except ArithmeticError as err:
+            raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient") from err
+        return {self.h_start + k - 1: -c for k, c in h.items()}
 
     def _root_row(
         self, i: int, j: int, target: int, den: int, ints: list[dict]
@@ -318,21 +275,26 @@ class LieAlgebra:
         return {target: c} if c else {}
 
     def h_of_root(self, alpha: Root) -> dict[int, int]:
-        """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based).
-
-        h_alpha is the coroot v = 2 alpha/(alpha, alpha) in eps-coordinates,
-        and the simple coroots are eps_i - eps_(i+1) (i < l) and 2 eps_l, so
-        c_i = v_1 + ... + v_i for i < l and c_l = (v_1 + ... + v_l)/2, with
-        no matrix work.
-        """
+        """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based)."""
         if ("e", alpha.eps) not in self._by_key:
             raise ValueError(
                 f"h_of_root needs a positive root of B_{self.rank}, got {alpha}"
             )
-        a = [int(c) for c in alpha.eps]
-        scale = 2 // sum(x * x for x in a)
-        partial = list(itertools.accumulate(scale * x for x in a))
-        partial[-1] //= 2   # even: the coroot lattice is spanned by h_1..h_l
+        return self._h_coefficients(tuple(map(int, alpha.eps)))
+
+    @staticmethod
+    def _h_coefficients(alpha: tuple[int, ...]) -> dict[int, int]:
+        """h_alpha over h_1..h_l (1-based) for alpha in integer eps-coordinates.
+
+        h_alpha is the coroot v = 2 alpha/(alpha, alpha), and the simple
+        coroots are eps_i - eps_(i+1) (i < l) and 2 eps_l, so c_i = v_1 + ...
+        + v_i for i < l and c_l = (v_1 + ... + v_l)/2.  An odd v_1 + ... + v_l
+        makes c_l non-integral: ArithmeticError, not a truncated c_l.
+        """
+        partial = list(itertools.accumulate(int_coroot(alpha)))
+        partial[-1], odd = divmod(partial[-1], 2)
+        if odd:
+            raise ArithmeticError(f"h_alpha for {alpha} has a non-integral coefficient")
         return {i: c for i, c in enumerate(partial, 1) if c}
 
     def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:

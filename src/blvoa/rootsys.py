@@ -135,6 +135,13 @@ def coroot_pairing(mu: Weight, alpha: Weight) -> Fraction:
     return 2 * inner(mu, alpha) / norm
 
 
+def int_coroot(alpha: Sequence[int]) -> tuple[int, ...]:
+    """The coroot 2 alpha/(alpha, alpha) of a B_l root alpha in integer
+    eps-coordinates: 2 alpha for a short root, alpha for a long one."""
+    scale = 2 // sum(a * a for a in alpha)
+    return tuple(scale * a for a in alpha)
+
+
 def weight_from_fundamental(coords: Sequence[Rat]) -> Weight:
     """Inverse of Weight.fundamental: mu_l = c_l/2, mu_i = c_i + mu_{i+1}."""
     c = [Fraction(exact(x)) for x in coords]

@@ -520,6 +520,10 @@ class CartanPolynomial(Sparse):
         (c C) n^p d^(top - |p|) / (C d^top) with c C an integer.  Each power
         n_i^j and d^j is computed once; zero exponents are skipped.
         """
+        if len(fundamental) != self.rank:
+            raise ValueError(
+                f"evaluate needs {self.rank} values, one per h_i, got {len(fundamental)}"
+            )
         vals = [exact(v) for v in fundamental]
         if not self.terms:
             return Fraction(0)

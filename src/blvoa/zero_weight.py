@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .liealg import LieAlgebra
-from .rootsys import Root, Weight, eps_root, harmonic_multiplicities
+from .rootsys import Root, Weight, eps_root, harmonic_multiplicities, int_coroot
 from .uea import (
     UEA,
     CartanPolynomial,
@@ -249,10 +249,9 @@ def q_numerator(
     """4^n n! d^{2n} q(mu) for mu = eps / d (integer eps, d > 0), an integer.
 
     q is evaluated from its product form (q_terms): <mu, alpha^vee> d is the
-    integer p = 2 (alpha, eps)/(alpha, alpha), a chain of length m from s
-    is prod (p - t d) / d^m over t = s..s+m-1, and a term has degree
-    n + k_1, so scaling it by 4^{n-k_1} (n!/k_1!) d^{n-k_1} clears every
-    denominator.
+    integer p = (alpha^vee, eps), a chain of length m from s is
+    prod (p - t d) / d^m over t = s..s+m-1, and a term has degree n + k_1,
+    so scaling it by 4^{n-k_1} (n!/k_1!) d^{n-k_1} clears every denominator.
     """
     pairing: dict[tuple[int, ...], int] = {}
     total = 0
@@ -261,8 +260,7 @@ def q_numerator(
         for alpha, length, start in chains:
             p = pairing.get(alpha)
             if p is None:
-                dot = sum(a * x for a, x in zip(alpha, eps))
-                p = pairing[alpha] = 2 * dot // sum(a * a for a in alpha)
+                p = pairing[alpha] = sum(a * x for a, x in zip(int_coroot(alpha), eps))
             for t in range(start, start + length):
                 term *= p - t * d
         total += term

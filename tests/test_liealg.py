@@ -1,6 +1,8 @@
-"""Matrix realization: Chevalley relations, closed-form root vectors against
-the nested-bracket reference, the weight-keyed structure constants and h_alpha
-against the full matrix-bracket expansion, Jacobi, and the invariant form."""
+"""Matrix realization: Chevalley relations, closed-form root vectors and
+Cartan diagonals against the nested-bracket reference, the weight-keyed
+structure constants and h_alpha against the full matrix-bracket expansion,
+Jacobi, and the closed-form invariant form against tr(xy)/2.  The matrix
+algebra of the references lives in matrix_reference."""
 
 import random
 import re
@@ -9,8 +11,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_lie
+from matrix_reference import expand, mat_bracket, mat_mul, mat_scale, mat_sub, trace_form
 
-from blvoa.liealg import LieAlgebra, mat_bracket, mat_mul, mat_scale, mat_sub
+from blvoa import liealg
+from blvoa.liealg import LieAlgebra
 from blvoa.rootsys import Root, Weight, coroot_pairing, eps_root, inner
 
 
@@ -116,7 +120,6 @@ def test_closed_forms_match_nested_brackets(l):
     for alpha in lie.rootsys.positive_roots:
         assert lie.e(alpha).matrix == e_pos[alpha], alpha
         assert lie.f(alpha).matrix == f_pos[alpha], alpha
-    assert lie.form_scale == Fraction(1, 2)
 
 
 def test_root_vector_base_cases():
@@ -188,7 +191,7 @@ def test_short_root_coroot_action():
         mu = Weight([Fraction(random.randint(-6, 6), 2) for _ in range(2)])
         val = sum(c * mu.fundamental()[i - 1] for i, c in coeffs.items())
         assert val == coroot_pairing(mu, eps1) == 2 * inner(mu, eps1)
-    assert lie.expand(h)   # lands in the Cartan span without error
+    assert expand(lie, h)   # lands in the Cartan span without error
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -207,14 +210,29 @@ def test_invariant_form_values(l):
         )
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+def test_invariant_form_matches_half_trace(l):
+    lie = LieAlgebra(l)
+    for x in lie.basis:
+        for y in lie.basis:
+            got = lie.invariant_form(x, y)
+            assert type(got) is int and got == trace_form(x.matrix, y.matrix), (x, y)
+
+
 def test_invariant_form_invariance():
+    # ([x, y], z) + (y, [x, z]) = 0, the brackets expanded by the table
     lie = get_lie(3)
+    table = lie.structure_constants()
     random.seed(11)
     basis = lie.basis
-    for _ in range(40):
+
+    def form(row: dict, other) -> int:
+        return sum(c * lie.invariant_form(basis[k], other) for k, c in row.items())
+
+    for _ in range(200):
         x, y, z = (random.choice(basis) for _ in range(3))
-        lhs = lie.invariant_form(mat_bracket(x.matrix, y.matrix), z.matrix)
-        rhs = lie.invariant_form(y.matrix, mat_bracket(x.matrix, z.matrix))
+        lhs = form(table[(x.index, y.index)], z)
+        rhs = form(table[(x.index, z.index)], y)
         assert lhs + rhs == 0
 
 
@@ -231,10 +249,11 @@ def test_structure_constant_examples():
     assert table[(e1.index, e1.index)] == {}
 
 
-def test_structure_constants_reject_a_non_integral_coefficient():
-    # int() would truncate 1/2 to 0 without a word
+def test_structure_constants_reject_a_non_integral_coefficient(monkeypatch):
+    # int() would truncate 1/2 to 0 without a word: with each root taken as
+    # its own coroot, h_alpha of a short root has c_2 = 1/2 at rank 2
     lie = LieAlgebra(2)
-    lie.expand = lambda m: {0: Fraction(1, 2)}
+    monkeypatch.setattr(liealg, "int_coroot", lambda alpha: alpha)
     with pytest.raises(ArithmeticError):
         lie.structure_constants()
 
@@ -256,7 +275,7 @@ def _matrix_structure_constants(lie) -> dict:
     table = {}
     for x in lie.basis:
         for y in lie.basis:
-            exp = lie.expand(mat_bracket(x.matrix, y.matrix))
+            exp = expand(lie, mat_bracket(x.matrix, y.matrix))
             assert all(c.denominator == 1 for c in exp.values())
             table[(x.index, y.index)] = {k: int(c) for k, c in exp.items()}
     return table
@@ -360,7 +379,7 @@ def test_h_of_root_pairs_like_coroot(l):
 def test_h_of_root_matches_matrix_expansion(l):
     lie = LieAlgebra(l)
     for alpha in lie.rootsys.positive_roots:
-        exp = lie.expand(mat_bracket(lie.e(alpha).matrix, lie.f(alpha).matrix))
+        exp = expand(lie, mat_bracket(lie.e(alpha).matrix, lie.f(alpha).matrix))
         got = lie.h_of_root(alpha)
         assert got == {k - lie.h_start + 1: c for k, c in exp.items()}, alpha
         assert all(type(c) is int for c in got.values()), alpha
@@ -378,5 +397,5 @@ def test_h_of_root_rejects_a_root_that_is_not_positive(root):
 def test_basis_is_independent():
     lie = get_lie(3)
     for b in lie.basis:
-        assert lie.expand(b.matrix) == {b.index: Fraction(1)}
+        assert expand(lie, b.matrix) == {b.index: Fraction(1)}
     assert len(lie.basis) == 2 * 3 * 3 + 3

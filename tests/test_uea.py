@@ -689,6 +689,15 @@ def test_poly_evaluate_edge_cases():
         assert type(got) is Fraction and got == naive_evaluate(p, vals)
 
 
+@pytest.mark.parametrize("vals", [[1], [1, 3, 5], []], ids=len)
+def test_poly_evaluate_rejects_the_wrong_number_of_values(vals):
+    # h_2^2 at rank 2 read 1 at (1,) and 9 at (1, 3, 5) without an error
+    h2 = CartanPolynomial.variable(2, 2)
+    for p in (h2 * h2, CartanPolynomial(2, {})):
+        with pytest.raises(ValueError, match=f"needs 2 values, one per h_i, got {len(vals)}"):
+            p.evaluate(vals)
+
+
 # the q prefilter of classify at n >= 2, on every triangular candidate
 @pytest.mark.parametrize("l,n", [(4, 2), (3, 3)])
 def test_poly_evaluate_matches_naive_on_candidates(l, n):
