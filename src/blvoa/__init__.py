@@ -8,8 +8,6 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
-    coroot_pairing,
-    inner,
     weight_from_fundamental,
 )
 from .liealg import BasisElement, LieAlgebra
@@ -39,7 +37,6 @@ from .affine import (
     fz_image,
     is_admissible,
     level_of,
-    shifted_pairing,
 )
 from .zero_weight import (
     AdModuleBasis,

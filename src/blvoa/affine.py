@@ -10,23 +10,23 @@ rightward through the bracket
 
 the central element acting as the scalar level.  Admissibility of a weight
 k Lambda_0 + mu is certified by a finite scan over real coroots together
-with a monotonicity bound that settles all larger loop modes.
+with a monotonicity bound that settles all larger loop modes, in integers
+on the rows of the caller's root datum (rootsys.RootSystem).
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra, add_into
-from .rootsys import RootSystem, Weight, eps_root, inner, int_coroot
+from .rootsys import RootSystem, Weight, built_root, eps_root, int_coroot, is_root
 from .uea import (
     DEFAULT_TERM_GUARD,
     UEA,
-    Echelon,
     Rat,
     Sparse,
     TermGuardExceeded,
@@ -287,15 +287,6 @@ class AffineWeight:
     finite: Weight
 
 
-def coroot(alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """(alpha + m delta)^vee = (2 alpha, 2m)/(alpha, alpha) in h oplus Qc
-    coordinates, for a B_l root alpha in integer eps-coordinates: the
-    finite part is alpha^vee, and 2/(alpha, alpha) is half of
-    (alpha^vee, alpha^vee)."""
-    x = int_coroot(alpha)
-    return x + (m * sum(c * c for c in x) // 2,)
-
-
 @dataclass(frozen=True)
 class AffineRealRoot:
     """alpha + m delta with m > 0 and alpha in Delta, or m = 0, alpha in Delta_+."""
@@ -304,8 +295,7 @@ class AffineRealRoot:
     m: int
 
     def __post_init__(self):
-        # a Fraction equals, and hashes as, the int of the same value
-        if self.alpha.eps not in _roots(self.alpha.rank):
+        if self.alpha.rank < 2 or not is_root(self.alpha.eps):
             raise ValueError(f"not a B_l root: {self.alpha.eps}")
         if self.m < 0:
             raise ValueError("loop mode must be nonnegative")
@@ -314,7 +304,8 @@ class AffineRealRoot:
 
     def coroot_vector(self) -> tuple[int, ...]:
         """(2 alpha/(alpha,alpha), 2m/(alpha,alpha)) in h oplus Qc coordinates."""
-        return coroot(tuple(map(int, self.alpha.eps)), self.m)
+        x = int_coroot(tuple(map(int, self.alpha.eps)))
+        return x + (self.m * sum(c * c for c in x) // 2,)
 
     def describe(self, rs: RootSystem) -> str:
         for i, a in enumerate(rs.simple_roots, start=1):
@@ -332,77 +323,61 @@ class AffineRealRoot:
         return f"({body})^"
 
 
-def shifted_pairing(lam: AffineWeight, root: AffineRealRoot, rs: RootSystem) -> Fraction:
-    """<lambda + rho, (alpha + m delta)^vee> with rho = h^vee Lambda_0 + rho_bar."""
-    norm = inner(root.alpha, root.alpha)
-    hv = dual_coxeter_number(rs.rank)
-    return (
-        Fraction(2)
-        / norm
-        * (root.m * (lam.level + hv) + inner(rs.weyl_vector + lam.finite, root.alpha))
-    )
-
-
 def affine_pairings(
     lam: AffineWeight, rs: RootSystem
 ) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
-    """D and {alpha: (A, B)} over the finite roots alpha (integer
-    eps-coordinates, in the order of _root_table), such that
+    """D and {alpha: (A, B)} over the rows of rs (finite roots alpha in
+    integer eps-coordinates, in row order), such that
     <lambda + rho, (alpha + m delta)^vee> = (A m + B) / D for every m.
 
-    The pairing is the coroot vector dotted with (rho_bar + mu, k + h^vee),
-    which D, the common denominator of those coordinates, makes integral.
-    """
-    shift = lam.level + dual_coxeter_number(rs.rank)
-    shifted = (rs.weyl_vector + lam.finite).eps + (shift,)
+    The pairing is the coroot vector (alpha^vee, scale m) dotted with
+    (rho_bar + mu, k + h^vee), which D, their common denominator, makes
+    integral."""
+    shifted = [Fraction(r, 2) + c for r, c in zip(rs.rho2, lam.finite.eps)]
+    shifted.append(lam.level + dual_coxeter_number(rs.rank))
     d = math.lcm(*(x.denominator for x in shifted))
-    ints = [int(x * d) for x in shifted]
+    ints = [x.numerator * (d // x.denominator) for x in shifted]
     return d, {
-        alpha: (ints[-1] * scale, sum(p * q for p, q in zip(ints, x)))
-        for alpha, x, scale, _, _ in _root_table(rs.rank)
+        alpha: (ints[-1] * scale, sum(map(operator.mul, ints, x)))
+        for alpha, x, scale in zip(rs.roots, rs.coroots, rs.scales)
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _root_table(
-    rank: int,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int, int, Weight], ...]:
-    """(alpha, x, scale, lo, weight) for every root alpha of B_l in integer
-    eps-coordinates, sorted by alpha: x = scale alpha is its finite
-    coroot, scale = 2/(alpha, alpha), lo its lowest loop mode (0 for a
-    positive root, 1 for a negative one) and weight alpha as the Weight
-    that reported coroots carry.  (alpha + m delta)^vee is (x, scale m),
-    and affine_pairings dots x with rho_bar + mu."""
-    positive = [tuple(map(int, r.eps)) for r in RootSystem(rank).positive_roots]
-    rows = []
-    for sign, lo in ((1, 0), (-1, 1)):
-        for root in positive:
-            alpha = tuple(sign * c for c in root)
-            *x, scale = coroot(alpha, 1)
-            rows.append((alpha, tuple(x), scale, lo, Weight(alpha)))
-    return tuple(sorted(rows, key=lambda r: r[0]))
+def _rank(vectors: list[tuple[int, ...]], full: int) -> int:
+    """The rank of integer vectors by fraction-free elimination, counted up
+    to full."""
+    rows: list[tuple[int, list[int]]] = []   # (pivot, row), each row 0 at earlier pivots
+    for v in vectors:
+        for p, r in rows:
+            if v[p]:
+                v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
+        if any(v):
+            rows.append((next(k for k, c in enumerate(v) if c), v))
+            if len(rows) == full:
+                break
+    return len(rows)
 
 
-@functools.lru_cache(maxsize=None)
-def _roots(rank: int) -> frozenset[tuple[int, ...]]:
-    """The roots of B_l in integer eps-coordinates, from _root_table."""
-    return frozenset(row[0] for row in _root_table(rank))
-
-
-@functools.lru_cache(maxsize=None)
-def _coroot_splits(rank: int) -> dict[tuple[int, ...], tuple[tuple, ...]]:
-    """Every finite coroot x of B_l with its splits x = y + z into two
-    finite coroots y < z (integer eps-coordinates; y = z never occurs, as
-    no coroot is twice another)."""
-    coroots = {x for _, x, _, _, _ in _root_table(rank)}
-    return {
-        x: tuple(
-            (y, z)
-            for y in coroots
-            if (z := tuple(p - q for p, q in zip(x, y))) in coroots and y < z
-        )
-        for x in coroots
-    }
+def _not_sums(ts: list[int], ys: range, zs: range) -> list[int]:
+    """The t in ts that are not y + z with y in ys and z in zs, two ranges
+    with steps p and q, in O(1) per t: t = ys[i] + zs[j] is p i + q j =
+    t - ys[0] - zs[0], which fixes i modulo q / gcd(p, q), and the least
+    such i that keeps j < len(zs) must keep j >= 0 and i < len(ys)."""
+    p, q, base = ys.step, zs.step, ys.start + zs.start
+    g = math.gcd(p, q)
+    period = q // g
+    inverse = pow(p // g, -1, period)
+    last_i, last_j = len(ys) - 1, len(zs) - 1
+    out = []
+    for t in ts:
+        r = t - base
+        if r < 0 or r % g:
+            out.append(t)
+            continue
+        lo = max(0, -((q * last_j - r) // p))   # the least i with j <= last_j
+        if lo + (r // g * inverse - lo) % period > min(last_i, r // p):   # i too big
+            out.append(t)
+    return out
 
 
 @dataclass
@@ -424,20 +399,21 @@ class AdmissibilityResult:
 def is_admissible(
     lam: AffineWeight, rs: RootSystem, m_max: Optional[int] = None
 ) -> AdmissibilityResult:
-    """Certify admissibility of k Lambda_0 + mu, in integer arithmetic.
+    """Certify admissibility of k Lambda_0 + mu, in integer arithmetic on
+    the rows of the root datum rs.
 
     The window is the positive real roots alpha + m delta with m <= m_max
     (m_max >= 0; by default twice the smallest m at which m (k + h^vee)
     dominates every |(rho_bar + mu, alpha)|).
     (i) <lambda + rho, gamma> avoids -Z_+ for every positive real coroot:
     scanned in the window and certified for m > m_max by that dominance.
-    The pairing is (A m + B) / D for each finite root alpha, so the integral
-    modes of alpha form a residue class mod D / gcd(A, D); only those
-    roots are built.
-    (ii) The integral coroots of the window must span a space of rank l+1;
-    the echelon stops once it reaches l+1, the dimension of h oplus Qc.
-    The simple ones among them (no two collected coroots sum to them) are
-    reported.
+    The pairing is (A m + B) / D, so the integral modes of alpha run from
+    its lowest loop mode in steps of D / gcd(A, D), and as A > 0 only those
+    with m <= -B / A can pair to <= 0.
+    (ii) The integral coroots (alpha^vee, scale m) of the window must span
+    a space of rank l+1, the dimension of h oplus Qc; two modes of one root
+    span (0, 1).  The simple ones among them, those that are no sum of two
+    others, are reported; each split of alpha^vee is tested in O(1) per mode.
     """
     l = rs.rank
     if exact(lam.level) + dual_coxeter_number(l) <= 0:
@@ -448,51 +424,45 @@ def is_admissible(
     if m_max is None:
         # B / A = (rho_bar + mu, alpha) / (k + h^vee)
         m_max = 2 * max(1, max(-(-abs(b) // a) for a, b in pairings.values()))
-    table = _root_table(l)
-    integral = []   # (m, row of table, A m + B)
-    for row, (a, b) in enumerate(pairings.values()):   # in the table's order
-        lo = table[row][3]
+    parts: dict[int, range] = {}   # row -> delta-parts scale m of its integral modes
+    violating = []   # (m, row, A m + B) with A m + B <= 0
+    for row, ((a, b), lo, k) in enumerate(zip(pairings.values(), rs.low_modes, rs.scales)):
         g = math.gcd(a, d)
         if b % g:
             continue
         step = d // g
-        residue = (-b // g) * pow(a // g, -1, step) % step
-        start = lo + (residue - lo) % step
-        integral.extend((m, row, a * m + b) for m in range(start, m_max + 1, step))
-    integral.sort()   # by mode, then alpha, as the table is sorted by alpha
-    violations: list[tuple[AffineRealRoot, Fraction]] = []
-    span = Echelon()
-    by_finite: dict[tuple[int, ...], dict[int, tuple]] = {}
-    for m, row, value in integral:
-        _, x, scale, _, weight = table[row]
-        if value <= 0:
-            violations.append((AffineRealRoot(weight, m), Fraction(value // d)))
-        if span.dim <= l:
-            span.insert(dict(enumerate(x + (scale * m,))))
-        by_finite.setdefault(x, {})[scale * m] = (m, row)
-    # v = (x, t) is a sum of two collected coroots iff x = y + z for finite
-    # coroots y, z collected with delta-parts s and t - s
+        start = lo + ((-b // g) * pow(a // g, -1, step) - lo) % step
+        if start > m_max:
+            continue
+        parts[row] = range(k * start, k * (m_max + 1), k * step)
+        if a * start + b <= 0:
+            violating.extend(
+                (m, row, a * m + b) for m in range(start, min(m_max, -b // a) + 1, step)
+            )
+    violating.sort()   # by mode, then alpha, as the rows are sorted by alpha
+    vectors = [rs.coroots[row] + (ts.start,) for row, ts in parts.items()]
+    if any(len(ts) > 1 for ts in parts.values()):
+        vectors.append((0,) * l + (1,))
+    span_rank = _rank(vectors, l + 1)
     simple = []
-    splits_of = _coroot_splits(l)
-    for x, modes in by_finite.items():
-        splits = [
-            (ys, zs)
-            for y, z in splits_of[x]
-            if (ys := by_finite.get(y)) and (zs := by_finite.get(z))
-        ]
-        simple.extend(
-            key
-            for t, key in modes.items()
-            if not any(t - s in zs for ys, zs in splits for s in ys)
-        )
+    for x, ts in parts.items():
+        left = list(ts)   # the delta-parts of x that no split reached yet
+        for y, z in rs.splits[x]:
+            if y in parts and z in parts and left[-1] >= parts[y].start + parts[z].start:
+                left = _not_sums(left, parts[y], parts[z])
+                if not left:
+                    break
+        simple.extend((t // rs.scales[x], x) for t in left)
     simple.sort()
-    ok = not violations and span.dim == l + 1
     return AdmissibilityResult(
-        ok=ok,
+        ok=not violating and span_rank == l + 1,
         weight=lam,
         m_max=m_max,
-        integral_count=len(integral),
-        span_rank=span.dim,
-        simple_coroots=[AffineRealRoot(table[row][4], m) for m, row in simple],
-        violations=violations,
+        integral_count=sum(map(len, parts.values())),
+        span_rank=span_rank,
+        simple_coroots=[AffineRealRoot(built_root(rs.roots[row]), m) for m, row in simple],
+        violations=[
+            (AffineRealRoot(built_root(rs.roots[row]), m), Fraction(value // d))
+            for m, row, value in violating
+        ],
     )

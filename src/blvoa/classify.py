@@ -9,6 +9,7 @@ certified admissible as an affine weight k Lambda_0 + mu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -37,8 +38,19 @@ class ClassificationResult:
     complete: bool   # False for the n > 1 candidate category-O list
 
 
+def _fundamental_keys(weights: Sequence[Weight]) -> list[tuple[int, ...]]:
+    """Weight.fundamental() of each weight times one common denominator of
+    all their coordinates, in ints: keys that sort and compare as the
+    fundamental coordinates do."""
+    d = math.lcm(*(c.denominator for w in weights for c in w.eps))
+    scaled = [[c.numerator * (d // c.denominator) for c in w.eps] for w in weights]
+    return [tuple(a - b for a, b in zip(m, m[1:])) + (2 * m[-1],) for m in scaled]
+
+
 def _sorted_entries(entries: Iterable[Entry]) -> list[Entry]:
-    return sorted(entries, key=lambda e: e.weight.fundamental())
+    entries = list(entries)
+    keys = _fundamental_keys([e.weight for e in entries])
+    return [entries[i] for i in sorted(range(len(entries)), key=keys.__getitem__)]
 
 
 def solve_triangular(rank: int, n: int) -> list[Weight]:
@@ -152,14 +164,12 @@ def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
             rs.rank, n, k, _sorted_entries(entries), complete=True
         )
     terms = q_terms(rs.rank, n)
-    entries = [
+    entries = [   # _doubled_zeros is sorted, so these are by fundamental coordinates
         Entry(_weight_of_doubled(d), ("category-O", "candidate"))
         for d in _doubled_zeros(rs.rank, n)
         if q_numerator(terms, n, _quadrupled_eps(d), 4) == 0
     ]
-    return ClassificationResult(
-        rs.rank, n, k, _sorted_entries(entries), complete=False
-    )
+    return ClassificationResult(rs.rank, n, k, entries, complete=False)
 
 
 def classify_finite_dim(rs: RootSystem, n: int) -> ClassificationResult:
@@ -187,8 +197,8 @@ def classify_finite_dim(rs: RootSystem, n: int) -> ClassificationResult:
             rec(prefix + [c], used + c * step)
             c += 1
 
-    rec([], Fraction(0))
-    return ClassificationResult(l, n, k, _sorted_entries(entries), complete=True)
+    rec([], Fraction(0))   # visits the prefixes, the fundamental coordinates, in order
+    return ClassificationResult(l, n, k, entries, complete=True)
 
 
 def merge_results(
@@ -197,9 +207,9 @@ def merge_results(
     """Union by weight; tags are merged, S labels kept when present."""
     if (a.rank, a.n) != (b.rank, b.n):
         raise ValueError("cannot merge classifications of different (rank, n)")
-    by_weight: dict[tuple, Entry] = {}
-    for e in list(a.entries) + list(b.entries):
-        key = e.weight.fundamental()
+    entries = list(a.entries) + list(b.entries)
+    by_weight: dict[tuple[int, ...], Entry] = {}
+    for key, e in zip(_fundamental_keys([e.weight for e in entries]), entries):
         if key in by_weight:
             old = by_weight[key]
             tags = tuple(dict.fromkeys(old.tags + e.tags))
@@ -210,13 +220,13 @@ def merge_results(
         a.rank,
         a.n,
         a.level,
-        _sorted_entries(by_weight.values()),
+        [by_weight[key] for key in sorted(by_weight)],
         complete=a.complete and b.complete,
     )
 
 
 def certify(result: ClassificationResult, rs: RootSystem) -> ClassificationResult:
-    """Attach an admissibility certificate to every entry."""
+    """Attach an admissibility certificate to every entry, all on the one datum rs."""
     certified = []
     for e in result.entries:
         lam = AffineWeight(result.level, e.weight)

@@ -9,12 +9,13 @@ failed, e.g. oracle span vs explicit span at n = 1).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .affine import AffineWeight, check_singular, is_admissible, level_of
 from .classify import (
@@ -160,7 +161,7 @@ def check_args(args) -> None:
         raise UsageError("n must be at least 1")
 
 
-def emit(args, level: Fraction, status: str, lines: list[str], entries=()) -> None:
+def emit(args, level: Fraction, status: str, lines: Iterable[str], entries=()) -> None:
     """Print the table lines, or the JSON schema shared by every command.
 
     entries are (weight, tags, admissible) triples; admissible and dim take
@@ -204,19 +205,20 @@ def cmd_classify(args) -> int:
         fd = classify_finite_dim(rs, args.n)
         result = merge_results(result, fd) if result is not None else fd
     result = certify(result, rs)
-    lines = [
-        f"level {frac_str(result.level)}  rank {args.rank}  n {args.n}"
-        + ("" if result.complete else "  [candidate list]")
-    ]
-    for e in result.entries:
-        lines.append(
-            f"  mu=({fmt_weight(e.weight)})"
-            f"  eps=({','.join(str(c) for c in e.weight.eps)})"
-            f"  tags={'+'.join(e.tags)}"
-            + (f"  {e.s_label}" if e.s_label else "")
-            + f"  admissible={'yes' if e.admissible else 'NO'}"
-        )
-    lines.append(f"{len(result.entries)} weights")
+    rows = (   # made only when emit prints them
+        f"  mu=({fmt_weight(e.weight)})"
+        f"  eps=({','.join(str(c) for c in e.weight.eps)})"
+        f"  tags={'+'.join(e.tags)}"
+        + (f"  {e.s_label}" if e.s_label else "")
+        + f"  admissible={'yes' if e.admissible else 'NO'}"
+        for e in result.entries
+    )
+    lines = itertools.chain(
+        [f"level {frac_str(result.level)}  rank {args.rank}  n {args.n}"
+         + ("" if result.complete else "  [candidate list]")],
+        rows,
+        [f"{len(result.entries)} weights"],
+    )
     status = "ok" if result.complete else "candidate-list"
     entries = [(e.weight, e.tags, e.admissible) for e in result.entries]
     emit(args, result.level, status, lines, entries)

@@ -41,15 +41,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .rootsys import (
-    Root,
-    RootSystem,
-    Weight,
-    build_root_system,
-    coroot_pairing,
-    eps_root,
-    int_coroot,
-)
+from .rootsys import Root, RootSystem, build_root_system, eps_root, int_coroot
 
 # {(row, col): entry}, 0-based, holding only the nonzero entries, so that
 # == compares matrices and an empty dict is the zero matrix.
@@ -75,13 +67,12 @@ def mat_cell(a: dict, b: dict, r: int, c: int):
 class BasisElement:
     """One member of the ordered basis: f(alpha), h(i) or e(alpha)."""
 
-    __slots__ = ("kind", "label", "matrix", "weight", "index")
+    __slots__ = ("kind", "label", "matrix", "index")
 
-    def __init__(self, kind: str, label, matrix: Matrix, weight: Weight, index: int):
+    def __init__(self, kind: str, label, matrix: Matrix, index: int):
         self.kind = kind          # "f", "h" or "e"
         self.label = label        # Root for e/f, 1-based int for h
         self.matrix = matrix
-        self.weight = weight      # ad-h weight: -alpha, 0 or +alpha
         self.index = index        # position in the fixed basis order
 
     def __repr__(self) -> str:
@@ -119,36 +110,34 @@ class LieAlgebra:
             return {(a - 1, b - 1): c, (p - b - 1, p - a - 1): -c}
 
         one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
-        ef: dict[Root, tuple[Matrix, Matrix]] = {}   # (e_alpha, f_alpha)
+        ef: dict[tuple[int, ...], tuple[Matrix, Matrix]] = {}   # (e_alpha, f_alpha)
         for i in range(1, l + 1):
-            ef[eps_root(l, i)] = (units(i, l + 1, one), units(l + 1, i, two))
+            ef[eps_root(l, i).eps] = (units(i, l + 1, one), units(l + 1, i, two))
             for j in range(i + 1, l + 1):
-                ef[eps_root(l, i, j, -1)] = (units(i, j, one), units(j, i, one))
-                ef[eps_root(l, i, j, 1)] = (
+                ef[eps_root(l, i, j, -1).eps] = (units(i, j, one), units(j, i, one))
+                ef[eps_root(l, i, j, 1).eps] = (
                     units(i, p - j, -half),
                     units(p - j, i, -two),
                 )
-        pos = self.rootsys.positive_roots
-        basis: list[BasisElement] = []
-        for r in pos:
-            basis.append(BasisElement("f", r, ef[r][1], -r, len(basis)))
-        zero = Weight([0] * l)
+        rs = self.rootsys
+        pos = rs.positive_roots
+        basis = [BasisElement("f", r, ef[r.eps][1], k) for k, r in enumerate(pos)]
         # simple coroots in integer eps-coordinates; h_i is the diagonal
         # diag(v, 0, -v reversed) of v = alpha_i^vee
-        self.simple_coroots = tuple(
-            int_coroot(tuple(map(int, a.eps))) for a in self.rootsys.simple_roots
-        )
+        self.simple_coroots = tuple(int_coroot(a.eps) for a in rs.simple_roots)
         for i, v in enumerate(self.simple_coroots, 1):
             h: Matrix = {}
             for k, c in enumerate(v):
                 if c:
                     h[k, k], h[p - k - 2, p - k - 2] = Fraction(c), Fraction(-c)
-            basis.append(BasisElement("h", i, h, zero, len(basis)))
+            basis.append(BasisElement("h", i, h, len(basis)))
         for r in pos:
-            basis.append(BasisElement("e", r, ef[r][0], r, len(basis)))
+            basis.append(BasisElement("e", r, ef[r.eps][0], len(basis)))
         self.basis: tuple[BasisElement, ...] = tuple(basis)
-        # integer epsilon-coordinates of each basis element's weight
-        self.weights = tuple(tuple(int(c) for c in b.weight.eps) for b in basis)
+        # integer epsilon-coordinates of each basis element's ad-h weight:
+        # -alpha, 0 or alpha
+        negative = [tuple(-c for c in r.eps) for r in pos]
+        self.weights = tuple(negative + [(0,) * l] * l + [r.eps for r in pos])
         self.h_start = len(pos)
         self.e_start = len(pos) + self.rank
         self._by_key = {
@@ -296,10 +285,3 @@ class LieAlgebra:
         if odd:
             raise ArithmeticError(f"h_alpha for {alpha} has a non-integral coefficient")
         return {i: c for i, c in enumerate(partial, 1) if c}
-
-    def cartan_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """A[i][j] = alpha_j(h_i) = <alpha_j, alpha_i^vee> (0-based rows/cols)."""
-        simple = self.rootsys.simple_roots
-        return tuple(
-            tuple(coroot_pairing(aj, ai) for aj in simple) for ai in simple
-        )

@@ -1,10 +1,13 @@
 """Root-system arithmetic for the simple Lie algebra of type B_l.
 
 Weights and roots live in the rank-l epsilon-coordinate space with exact
-Fraction entries.  The invariant form is the standard one normalized so
-that the highest root has squared length 2, which makes the epsilon basis
-orthonormal: (eps_i, eps_j) = delta_ij.  Short roots (the eps_i) then have
-squared length 1 and long roots (eps_i +- eps_j) squared length 2.
+entries: a caller's Fractions, or the ints of the roots RootSystem builds.
+The invariant form is the standard one normalized so that the highest root
+has squared length 2, which makes the epsilon basis orthonormal:
+(eps_i, eps_j) = delta_ij.  Short roots (the eps_i) then have squared
+length 1 and long roots (eps_i +- eps_j) squared length 2.  RootSystem is
+the one integer root datum of a rank; a caller builds it once and passes
+it down, and nothing is cached per module.
 """
 
 from __future__ import annotations
@@ -74,6 +77,12 @@ class Weight:
         return f"Weight({', '.join(str(c) for c in self.eps)})"
 
 
+def is_root(coords: Sequence[Rat]) -> bool:
+    """Whether coords are a B_l root: one or two nonzero entries, all +-1."""
+    support = [c for c in coords if c != 0]
+    return bool(support) and len(support) <= 2 and all(abs(c) == 1 for c in support)
+
+
 class Root(Weight):
     """A root of B_l: one nonzero entry +-1, or two nonzero entries +-1.
 
@@ -84,55 +93,35 @@ class Root(Weight):
 
     def __init__(self, coords: Iterable[Rat]):
         super().__init__(coords)
-        support = [c for c in self.eps if c != 0]
-        if not (support and all(abs(c) == 1 for c in support) and len(support) <= 2):
+        if not is_root(self.eps):
             raise ValueError(f"not a B_l root: {tuple(self.eps)}")
 
     def __repr__(self) -> str:
         return f"Root({', '.join(str(c) for c in self.eps)})"
 
 
-def _eps_coords(l: int, a: int, b: int = 0, sign: int = 0) -> tuple[int, ...]:
+def eps_root(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
+    """eps_a, or eps_a + sign*eps_b when b is given (1-based), in rank l."""
     coords = [0] * l
     coords[a - 1] = 1
     if b:
         coords[b - 1] = sign
-    return tuple(coords)
+    if not is_root(coords):
+        raise ValueError(f"not a B_l root: {tuple(coords)}")
+    return built_root(tuple(coords))
 
 
-def eps_root(l: int, a: int, b: int = 0, sign: int = 0) -> Root:
-    """eps_a, or eps_a + sign*eps_b when b is given (1-based), in rank l."""
-    return Root(_eps_coords(l, a, b, sign))
-
-
-_EXACT_UNITS = {-1: Fraction(-1), 0: Fraction(0), 1: Fraction(1)}
-
-
-def _built_root(coords: tuple[int, ...]) -> Root:
-    """The Root with these -1/0/1 coordinates, which the caller built as a
-    root: Root() would convert and validate each coordinate again."""
+def built_root(coords: tuple[int, ...]) -> Root:
+    """The Root with these -1/0/1 int coordinates, which the caller built as
+    a root: Root() would convert each to a Fraction and validate it again."""
     root = Root.__new__(Root)
-    root.eps = tuple(_EXACT_UNITS[c] for c in coords)
+    root.eps = coords
     return root
 
 
 def _check_rank(a: Weight, b: Weight) -> None:
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
-
-
-def inner(a: Weight, b: Weight) -> Fraction:
-    """Normalized invariant form on weight space; (eps_i, eps_j) = delta_ij."""
-    _check_rank(a, b)
-    return sum((x * y for x, y in zip(a.eps, b.eps)), Fraction(0))
-
-
-def coroot_pairing(mu: Weight, alpha: Weight) -> Fraction:
-    """<mu, alpha^vee> = 2 (mu, alpha) / (alpha, alpha)."""
-    norm = inner(alpha, alpha)
-    if norm == 0:
-        raise ValueError("zero root has no coroot")
-    return 2 * inner(mu, alpha) / norm
 
 
 def int_coroot(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -156,33 +145,75 @@ def weight_from_fundamental(coords: Sequence[Rat]) -> Weight:
 
 
 class RootSystem:
-    """The B_l root system with its positive roots and Weyl machinery.
+    """The B_l root system as one integer root datum.
 
     Positive roots are {eps_i} with {eps_i - eps_j} and {eps_i + eps_j}
     for i < j; there are l^2 of them.  They are enumerated in lexicographic
     order on epsilon-coordinates, which fixes a reproducible basis order
-    for everything built on top.
+    for everything built on top.  Row r is the r-th of all 2 l^2 roots
+    alpha in that order: roots[r] = alpha, coroots[r] = scales[r] alpha
+    with scales[r] = 2/(alpha, alpha), low_modes[r] = the lowest loop mode
+    of alpha + m delta (0 for alpha > 0, 1 for alpha < 0), and splits[r] =
+    the row pairs (p, q) with coroots[p] + coroots[q] = coroots[r].  In
+    closed form 2s eps_i = (s eps_i + eps_j) + (s eps_i - eps_j), and
+    s eps_i + t eps_j = 2s eps_i + (t eps_j - s eps_i) = 2t eps_j +
+    (s eps_i - t eps_j) = (s eps_i +- eps_k) + (t eps_j -+ eps_k).
+    rho2 = 2 rho_bar = (2 (l - i) + 1)_i.
     """
 
     def __init__(self, rank: int):
         if rank < 2:
             raise ValueError("rank must be at least 2 for type B")
         self.rank = rank
-        coords = []
-        for i in range(1, rank + 1):
-            coords.append(_eps_coords(rank, i))
-            for j in range(i + 1, rank + 1):
-                for sign in (-1, 1):
-                    coords.append(_eps_coords(rank, i, j, sign))
-        self.positive_roots: tuple[Root, ...] = tuple(map(_built_root, sorted(coords)))
-        self.simple_roots: tuple[Root, ...] = tuple(
-            _built_root(_eps_coords(rank, i, i + 1, -1)) for i in range(1, rank)
-        ) + (_built_root(_eps_coords(rank, rank)),)
-        self.highest_root = _built_root(_eps_coords(rank, 1, 2, 1))
-        # rho-bar = sum of fundamental weights = (l - i + 1/2) eps_i
-        self.weyl_vector = Weight(
-            Fraction(2 * (rank - i) + 1, 2) for i in range(1, rank + 1)
+        # (alpha, terms): the codes of alpha's terms s eps_i (and t eps_j),
+        # a vector's code sum_k alpha_k 5^k being additive and one per root,
+        # so the closed-form splits are sums of codes
+        unit = [5**i for i in range(rank)]
+        table = []
+        for i in range(rank):
+            for s in (1, -1):
+                alpha = [0] * rank
+                alpha[i] = s
+                table.append((tuple(alpha), (s * unit[i],)))
+                for j in range(i + 1, rank):
+                    for t in (1, -1):
+                        alpha[j] = t
+                        table.append((tuple(alpha), (s * unit[i], t * unit[j])))
+                    alpha[j] = 0
+        table.sort()
+        self.roots: tuple[tuple[int, ...], ...] = tuple(alpha for alpha, _ in table)
+        zero = (0,) * rank
+        self.low_modes = tuple(int(alpha < zero) for alpha in self.roots)
+        self.scales = tuple(2 // len(terms) for _, terms in table)   # (alpha, alpha) = len
+        self.coroots = tuple(
+            alpha if k == 1 else tuple(k * c for c in alpha)
+            for alpha, k in zip(self.roots, self.scales)
         )
+        row = {sum(terms): r for r, (_, terms) in enumerate(table)}
+        splits = []
+        for _, terms in table:
+            if len(terms) == 1:
+                (b,) = terms
+                pairs = [(row[b + u], row[b - u]) for u in unit if u != abs(b)]
+            else:
+                b, c = terms
+                pairs = [(row[b], row[c - b]), (row[c], row[b - c])]
+                pairs += [
+                    (row[b + v], row[c - v])
+                    for u in unit
+                    if u != abs(b) and u != abs(c)
+                    for v in (u, -u)
+                ]
+            splits.append(tuple(pairs))
+        self.splits: tuple[tuple[tuple[int, int], ...], ...] = tuple(splits)
+        self.rho2 = tuple(2 * (rank - i) - 1 for i in range(rank))
+        self.positive_roots: tuple[Root, ...] = tuple(
+            built_root(a) for a, lo in zip(self.roots, self.low_modes) if not lo
+        )
+        self.simple_roots: tuple[Root, ...] = tuple(
+            eps_root(rank, i, i + 1, -1) for i in range(1, rank)
+        ) + (eps_root(rank, rank),)
+        self.highest_root = eps_root(rank, 1, 2, 1)
 
     def fundamental_weight(self, i: int) -> Weight:
         """omega_i (1-based): eps_1 + ... + eps_i, halved for i = l."""
@@ -212,15 +243,14 @@ class RootSystem:
             raise ValueError(f"weight {mu} is not dominant integral")
         l = self.rank
 
-        def product(x: list[int]) -> int:
+        def product(x: Sequence[int]) -> int:
             out = math.prod(x)
             for i, j in itertools.combinations(range(l), 2):
                 out *= (x[i] - x[j]) * (x[i] + x[j])
             return out
 
-        r = [2 * (l - i) - 1 for i in range(l)]   # 0-based i
-        num = product([int(2 * m) + ri for m, ri in zip(mu.eps, r)])
-        den = product(r)
+        num = product([int(2 * m) + r for m, r in zip(mu.eps, self.rho2)])
+        den = product(self.rho2)
         if num % den or num <= 0:
             raise ArithmeticError(f"Weyl dimension came out as {Fraction(num, den)}")
         return num // den

@@ -1,0 +1,150 @@
+"""The mutation catalogue: deliberate faults in src and the tests that must
+catch each one.
+
+Each mutant replaces one exact text of a file under src/blvoa (it occurs
+there exactly once, which tests/test_mutants.py checks) and names the
+tests that must fail once it is applied.  Run the catalogue with
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutant is applied to a fresh temporary copy of src (with tests,
+perfbench and pyproject.toml beside it, as the tests read them); its tests
+run there, and a mutant survives when they all pass.  The run prints each
+mutant as killed or SURVIVED with its time, and exits 1 if any survived;
+the full run takes about 8 s on a 2-CPU x86-64 machine.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str          # relative to the repository root
+    old: str           # exact text, once in the file
+    new: str
+    tests: tuple[str, ...]   # pytest node ids, at least one of which must fail
+
+
+ADMISSIBLE_DIFF = "tests/test_affine.py::test_is_admissible_matches_fraction_reference"
+SPLITS_SCAN = "tests/test_rootsys.py::test_closed_form_splits_match_a_scan_of_every_pair"
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "mode 0 allowed for negative roots",
+        "src/blvoa/rootsys.py",
+        "self.low_modes = tuple(int(alpha < zero) for alpha in self.roots)",
+        "self.low_modes = tuple(0 for alpha in self.roots)",
+        (ADMISSIBLE_DIFF,),
+    ),
+    Mutant(
+        "rank count stopped at l",
+        "src/blvoa/affine.py",
+        "span_rank = _rank(vectors, l + 1)",
+        "span_rank = _rank(vectors, l)",
+        (ADMISSIBLE_DIFF,),
+    ),
+    Mutant(
+        "violations only below 0",
+        "src/blvoa/affine.py",
+        "        if a * start + b <= 0:\n"
+        "            violating.extend(\n"
+        "                (m, row, a * m + b)"
+        " for m in range(start, min(m_max, -b // a) + 1, step)\n",
+        "        if a * start + b < 0:\n"
+        "            violating.extend(\n"
+        "                (m, row, a * m + b)"
+        " for m in range(start, min(m_max, (-b - 1) // a) + 1, step)\n",
+        (ADMISSIBLE_DIFF,),
+    ),
+    Mutant(
+        "splits cut to two per coroot",
+        "src/blvoa/rootsys.py",
+        "splits.append(tuple(pairs))",
+        "splits.append(tuple(pairs[:2]))",
+        (SPLITS_SCAN, ADMISSIBLE_DIFF),
+    ),
+    Mutant(
+        "short-coroot splits dropped",
+        "src/blvoa/rootsys.py",
+        "pairs = [(row[b + u], row[b - u]) for u in unit if u != abs(b)]",
+        "pairs = []",
+        (SPLITS_SCAN, ADMISSIBLE_DIFF),
+    ),
+    Mutant(
+        "root rows unsorted",
+        "src/blvoa/rootsys.py",
+        "        table.sort()\n",
+        "",
+        (
+            "tests/test_rootsys.py::test_datum_rows_match_positive_roots_and_int_coroot",
+            ADMISSIBLE_DIFF,
+        ),
+    ),
+)
+
+
+def run(mutant: Mutant) -> tuple[bool, float]:
+    """(killed, seconds) for one mutant, in a temporary copy of the tree:
+    killed when one of its tests fails."""
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="blvoa-mutant-") as tmp:
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                ignore = shutil.ignore_patterns("__pycache__", "out")
+                shutil.copytree(src, Path(tmp) / name, ignore=ignore)
+            else:
+                shutil.copy2(src, Path(tmp) / name)
+        target = Path(tmp) / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: its text is not once in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp,
+            capture_output=True,
+            text=True,
+        )
+    if proc.returncode not in (0, 1):   # not a test outcome: a bad node id, say
+        raise RuntimeError(
+            f"{mutant.name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
+        )
+    return proc.returncode == 1, time.monotonic() - start
+
+
+def main(names: Optional[Sequence[str]] = None) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names or ()) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    start = time.monotonic()
+    survivors = []
+    for mutant in chosen:
+        killed, seconds = run(mutant)
+        verdict = "killed  " if killed else "SURVIVED"
+        print(f"{verdict} {seconds:6.1f} s  {mutant.name}", flush=True)
+        if not killed:
+            survivors.append(mutant.name)
+    killed = len(chosen) - len(survivors)
+    print(f"{killed} of {len(chosen)} killed in {time.monotonic() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_engine, get_lie
+from fraction_reference import inner, shifted_pairing
 
 from blvoa.affine import (
     AffineRealRoot,
@@ -29,7 +30,6 @@ from blvoa.affine import (
     check_singular,
     fz_image,
     is_admissible,
-    shifted_pairing,
 )
 from blvoa.classify import (
     classify_category_o,
@@ -42,7 +42,6 @@ from blvoa.rootsys import (
     Root,
     Weight,
     harmonic_multiplicities,
-    inner,
     weight_from_fundamental,
 )
 from blvoa.uea import (

@@ -2,7 +2,6 @@
 singular-vector verification, the U(g) image map, and admissibility."""
 
 import json
-import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +11,6 @@ import pytest
 from conftest import get_engine, get_lie
 
 from blvoa.affine import (
-    AdmissibilityResult,
     AffineRealRoot,
     AffineWeight,
     VacuumModule,
@@ -24,7 +22,6 @@ from blvoa.affine import (
     fz_image,
     is_admissible,
     quadratic_creation_term,
-    shifted_pairing,
 )
 from blvoa.classify import (
     classify_category_o,
@@ -32,17 +29,23 @@ from blvoa.classify import (
     mu_s,
     mu_s_prime,
 )
-from blvoa.rootsys import Root, RootSystem, Weight, inner, weight_from_fundamental
-from blvoa.uea import Echelon, _common_grading
+from blvoa.rootsys import Root, Weight, weight_from_fundamental
+from blvoa.uea import _common_grading
 from blvoa.zero_weight import singular_image
+from fraction_reference import (
+    inner,
+    positive_real_roots,
+    reference_is_admissible,
+    shifted_pairing,
+)
 
 
 # gradings and the central element of N(k, 0), read off the vectors
 def finite_weight(v):
     """Common finite ad-h weight of all words of v, or "mixed"."""
-    basis = v.module.lie.basis
-    zero = Weight([0] * v.module.lie.rank)
-    weights = (sum((basis[idx].weight for _, idx in word), zero) for word in v.terms)
+    lie = v.module.lie
+    zero = Weight([0] * lie.rank)
+    weights = (sum((Weight(lie.weights[idx]) for _, idx in word), zero) for word in v.terms)
     return _common_grading(weights, zero)
 
 
@@ -309,78 +312,6 @@ def test_admissibility_rejects_negative_window():
     with pytest.raises(ValueError, match="m_max"):
         is_admissible(lam, rs, m_max=-1)
     assert is_admissible(lam, rs, m_max=0).m_max == 0
-
-
-# ---------------------------------------------------------------------------
-# the Fraction certificate the integer one replaced, kept as its reference
-# ---------------------------------------------------------------------------
-
-
-def positive_real_roots(rs: RootSystem, m_max: int) -> list[AffineRealRoot]:
-    """All alpha + m delta with 0 <= m <= m_max, in deterministic order."""
-    out: list[AffineRealRoot] = []
-    for alpha in rs.positive_roots:
-        out.append(AffineRealRoot(alpha, 0))
-    for m in range(1, m_max + 1):
-        for alpha in rs.positive_roots:
-            out.append(AffineRealRoot(alpha, m))
-            out.append(AffineRealRoot(-alpha, m))
-    out.sort(key=lambda r: (r.m, r.alpha.eps))
-    return out
-
-
-def fraction_coroot_vector(r: AffineRealRoot) -> tuple[Fraction, ...]:
-    scale = Fraction(2) / inner(r.alpha, r.alpha)
-    return tuple(scale * c for c in r.alpha.eps) + (scale * r.m,)
-
-
-def reference_is_admissible(lam, rs, m_max=None) -> AdmissibilityResult:
-    """Window scan over every root in Fraction arithmetic, a full-rank
-    echelon and the pairwise simple-coroot scan."""
-    l = rs.rank
-    hv = dual_coxeter_number(l)
-    shift = lam.level + hv
-    if shift <= 0:
-        raise ValueError("k + h^vee must be positive for the windowed check")
-    if m_max is None:
-        bound = max(
-            abs(inner(rs.weyl_vector + lam.finite, alpha))
-            for alpha in rs.positive_roots
-        )
-        m_max = 2 * max(1, math.ceil(bound / shift))
-    roots = positive_real_roots(rs, m_max)
-    violations = []
-    integral = []
-    for r in roots:
-        p = shifted_pairing(lam, r, rs)
-        if p.denominator == 1:
-            if p <= 0:
-                violations.append((r, p))
-            integral.append(r)
-    vectors = [fraction_coroot_vector(r) for r in integral]
-    span = Echelon()
-    for v in vectors:
-        span.insert(dict(enumerate(v)))
-    vec_set = {v: r for v, r in zip(vectors, integral)}
-    simple = [
-        r
-        for v, r in vec_set.items()
-        if not any(
-            w != v and tuple(a - b for a, b in zip(v, w)) in vec_set
-            for w in vec_set
-        )
-    ]
-    simple.sort(key=lambda r: (r.m, r.alpha.eps))
-    ok = not violations and span.dim == l + 1
-    return AdmissibilityResult(
-        ok=ok,
-        weight=lam,
-        m_max=m_max,
-        integral_count=len(integral),
-        span_rank=span.dim,
-        simple_coroots=simple,
-        violations=violations,
-    )
 
 
 def _pool_cases():

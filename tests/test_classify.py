@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_engine, get_lie
+from fraction_reference import inner
 
 from blvoa.classify import (
     certify,
@@ -18,7 +19,7 @@ from blvoa.classify import (
     mu_s_prime,
     solve_triangular,
 )
-from blvoa.rootsys import Weight, inner, weight_from_fundamental
+from blvoa.rootsys import Weight, weight_from_fundamental
 from blvoa.zero_weight import explicit_p, explicit_q, p0_basis, q_value
 
 

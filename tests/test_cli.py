@@ -2,10 +2,14 @@
 guard overrides."""
 
 import argparse
+import functools
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import blvoa
 from blvoa.cli import COMMANDS, build_parser, main
 from blvoa.liealg import LieAlgebra
 from blvoa.rootsys import RootSystem
@@ -297,7 +301,12 @@ def test_parser_builds_every_command_for_any_other_first_argument(command):
 
 @pytest.mark.parametrize(
     "argv,lie_algebras",
-    [(("identities", "--rank", "2"), 2), (("dim", "--rank", "3", "--weight", "1,0,0"), 0)],
+    [
+        (("identities", "--rank", "2"), 2),
+        (("dim", "--rank", "3", "--weight", "1,0,0"), 0),
+        (("admissible", "--rank", "3", "--level", "-1/2", "--weight", "0,0,0"), 0),
+        (("classify", "--rank", "2", "--n", "2"), 2),
+    ],
 )
 def test_consecutive_calls_share_no_construction(capsys, monkeypatch, argv, lie_algebras):
     """Each call builds its own LieAlgebra and RootSystem, as separate CLI
@@ -313,3 +322,18 @@ def test_consecutive_calls_share_no_construction(capsys, monkeypatch, argv, lie_
         assert run(capsys, *argv)[0] == 0
     assert built.count(LieAlgebra) == lie_algebras
     assert built.count(RootSystem) == 2
+
+
+def test_no_blvoa_module_holds_a_functools_cache():
+    """No cache outlives a call: every table is built by the call that
+    uses it, on the objects it passes down."""
+    modules = [blvoa] + [
+        importlib.import_module(f"blvoa.{info.name}")
+        for info in pkgutil.iter_modules(blvoa.__path__)
+    ]
+    for module in modules:
+        for name, value in vars(module).items():
+            owners = [value] + (list(vars(value).values()) if isinstance(value, type) else [])
+            for obj in owners:
+                cached = hasattr(obj, "cache_info") or isinstance(obj, functools.cached_property)
+                assert not cached, f"{module.__name__}.{name} holds a functools cache"

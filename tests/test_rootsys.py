@@ -1,6 +1,7 @@
 """Root system of B_l: enumeration, the normalized form, coroot pairings,
 dominance and the Weyl dimension formula, the integer versions against the
-Fraction references."""
+Fraction references, and the integer root datum's rows and closed-form
+coroot splits."""
 
 import itertools
 import random
@@ -10,14 +11,15 @@ import pytest
 
 from blvoa.rootsys import (
     Root,
+    RootSystem,
     Weight,
     build_root_system,
-    coroot_pairing,
     eps_root,
     harmonic_multiplicities,
-    inner,
+    int_coroot,
     weight_from_fundamental,
 )
+from fraction_reference import coroot_pairing, coroot_splits, inner, weyl_vector
 
 
 def eps(*coords):
@@ -200,10 +202,10 @@ def _reference_weyl_dim(rs, mu) -> int:
     (mu + rho, alpha) / (rho, alpha) with inner()."""
     if not _reference_is_dominant_integral(rs, mu):
         raise ValueError(f"weight {mu} is not dominant integral")
-    shifted = mu + rs.weyl_vector
+    shifted = mu + weyl_vector(rs)
     num = Fraction(1)
     for alpha in rs.positive_roots:
-        num *= inner(shifted, alpha) / inner(rs.weyl_vector, alpha)
+        num *= inner(shifted, alpha) / inner(weyl_vector(rs), alpha)
     if num.denominator != 1 or num <= 0:
         raise ArithmeticError(f"Weyl dimension came out as {num}")
     return int(num)
@@ -267,3 +269,37 @@ def test_eps_root():
     assert eps_root(3, 1, 3, -1) == Root([1, 0, -1])
     assert eps_root(3, 2, 3, 1) == Root([0, 1, 1])
     assert isinstance(eps_root(2, 1), Root)
+
+
+# ---------------------------------------------------------------------------
+# the integer root datum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_datum_rows_match_positive_roots_and_int_coroot(l):
+    rs = RootSystem(l)
+    pos = [eps_root(l, i) for i in range(1, l + 1)]
+    pos += [
+        eps_root(l, i, j, s) for i in range(1, l + 1) for j in range(i + 1, l + 1) for s in (1, -1)
+    ]
+    assert list(rs.positive_roots) == sorted(pos, key=lambda r: r.eps)
+    positive = [r.eps for r in rs.positive_roots]
+    assert list(rs.roots) == sorted(positive + [tuple(-c for c in a) for a in positive])
+    for alpha, x, scale, lo in zip(rs.roots, rs.coroots, rs.scales, rs.low_modes):
+        assert x == int_coroot(alpha) == tuple(scale * c for c in alpha)
+        assert scale * sum(c * c for c in alpha) == 2
+        assert lo == (0 if alpha in positive else 1)
+        assert all(type(c) is int for c in alpha + x)
+    assert rs.rho2 == tuple(map(sum, zip(*positive)))   # 2 rho-bar
+    assert all(type(c) is int for c in rs.rho2)
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_closed_form_splits_match_a_scan_of_every_pair(l):
+    rs = RootSystem(l)
+    got = {
+        x: sorted(tuple(sorted((rs.coroots[p], rs.coroots[q]))) for p, q in pairs)
+        for x, pairs in zip(rs.coroots, rs.splits)
+    }
+    assert got == {x: sorted(pairs) for x, pairs in coroot_splits(l).items()}
