@@ -445,9 +445,10 @@ def is_admissible(
         vectors.append((0,) * l + (1,))
     span_rank = _rank(vectors, l + 1)
     simple = []
+    splits = rs.splits
     for x, ts in parts.items():
         left = list(ts)   # the delta-parts of x that no split reached yet
-        for y, z in rs.splits[x]:
+        for y, z in splits[x]:
             if y in parts and z in parts and left[-1] >= parts[y].start + parts[z].start:
                 left = _not_sums(left, parts[y], parts[z])
                 if not left:

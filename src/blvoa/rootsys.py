@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -153,11 +153,11 @@ class RootSystem:
     for everything built on top.  Row r is the r-th of all 2 l^2 roots
     alpha in that order: roots[r] = alpha, coroots[r] = scales[r] alpha
     with scales[r] = 2/(alpha, alpha), low_modes[r] = the lowest loop mode
-    of alpha + m delta (0 for alpha > 0, 1 for alpha < 0), and splits[r] =
-    the row pairs (p, q) with coroots[p] + coroots[q] = coroots[r].  In
-    closed form 2s eps_i = (s eps_i + eps_j) + (s eps_i - eps_j), and
-    s eps_i + t eps_j = 2s eps_i + (t eps_j - s eps_i) = 2t eps_j +
-    (s eps_i - t eps_j) = (s eps_i +- eps_k) + (t eps_j -+ eps_k).
+    of alpha + m delta (0 for alpha > 0, 1 for alpha < 0), and splits[r]
+    (built on first read) = the row pairs (p, q) with coroots[p] +
+    coroots[q] = coroots[r].  In closed form 2s eps_i = (s eps_i + eps_j) +
+    (s eps_i - eps_j), and s eps_i + t eps_j = 2s eps_i + (t eps_j - s eps_i)
+    = 2t eps_j + (s eps_i - t eps_j) = (s eps_i +- eps_k) + (t eps_j -+ eps_k).
     rho2 = 2 rho_bar = (2 (l - i) + 1)_i.
     """
 
@@ -189,23 +189,8 @@ class RootSystem:
             alpha if k == 1 else tuple(k * c for c in alpha)
             for alpha, k in zip(self.roots, self.scales)
         )
-        row = {sum(terms): r for r, (_, terms) in enumerate(table)}
-        splits = []
-        for _, terms in table:
-            if len(terms) == 1:
-                (b,) = terms
-                pairs = [(row[b + u], row[b - u]) for u in unit if u != abs(b)]
-            else:
-                b, c = terms
-                pairs = [(row[b], row[c - b]), (row[c], row[b - c])]
-                pairs += [
-                    (row[b + v], row[c - v])
-                    for u in unit
-                    if u != abs(b) and u != abs(c)
-                    for v in (u, -u)
-                ]
-            splits.append(tuple(pairs))
-        self.splits: tuple[tuple[tuple[int, int], ...], ...] = tuple(splits)
+        self._codes = tuple(terms for _, terms in table)
+        self._splits: Optional[tuple[tuple[tuple[int, int], ...], ...]] = None
         self.rho2 = tuple(2 * (rank - i) - 1 for i in range(rank))
         self.positive_roots: tuple[Root, ...] = tuple(
             built_root(a) for a, lo in zip(self.roots, self.low_modes) if not lo
@@ -214,6 +199,31 @@ class RootSystem:
             eps_root(rank, i, i + 1, -1) for i in range(1, rank)
         ) + (eps_root(rank, rank),)
         self.highest_root = eps_root(rank, 1, 2, 1)
+
+    @property
+    def splits(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The splits of the class docstring, built on first read, as only
+        admissibility needs them."""
+        if self._splits is None:
+            unit = [5**i for i in range(self.rank)]
+            row = {sum(terms): r for r, terms in enumerate(self._codes)}
+            splits = []
+            for terms in self._codes:
+                if len(terms) == 1:
+                    (b,) = terms
+                    pairs = [(row[b + u], row[b - u]) for u in unit if u != abs(b)]
+                else:
+                    b, c = terms
+                    pairs = [(row[b], row[c - b]), (row[c], row[b - c])]
+                    pairs += [
+                        (row[b + v], row[c - v])
+                        for u in unit
+                        if u != abs(b) and u != abs(c)
+                        for v in (u, -u)
+                    ]
+                splits.append(tuple(pairs))
+            self._splits = tuple(splits)
+        return self._splits
 
     def fundamental_weight(self, i: int) -> Weight:
         """omega_i (1-based): eps_1 + ... + eps_i, halved for i = l."""

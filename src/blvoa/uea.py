@@ -4,8 +4,9 @@ Elements are finite rational combinations of PBW monomials over the fixed
 basis order of :class:`~blvoa.liealg.LieAlgebra`: lowering vectors first,
 then Cartan, then raising vectors.  With that order a monomial lies in
 U(g)n_+ exactly when its raising block is nonempty, and in n_-U(g) exactly
-when its first letter is lowering, so reduction modulo either is a
-syntactic filter, and the eigenvalue of a zero-weight element on a
+when its first letter is lowering, so reduction modulo U(g)n_+ is a
+syntactic filter, U(g)/n_-U(g) has the monomials with no lowering letter
+as its basis, and the eigenvalue of a zero-weight element on a
 highest-weight vector is read off from its pure-Cartan part.
 
 Normalization inserts one letter at a time into a normal-ordered monomial,
@@ -14,13 +15,19 @@ and memoizes each insertion on (letter, monomial); a product of monomials
 inserts the letters of the left one, last first, into the right one.  The
 adjoint action of a letter x on a monomial head·rest follows the Leibniz
 rule [x, head·rest] = head·[x, rest] + [x, head]·rest, memoized on
-(monomial, letter) in the same table, so it never builds x·m or m·x.  A
-configurable term-count guard bounds each insertion, each bracket and each
-monomial product.
+(monomial, letter) in the same table, so it never builds x·m or m·x.  On
+the right module U(g)/n_-U(g), ad(f)·y is -y·f, as f·y lies in n_-U(g).
+There a monomial is H·E with H in U(h) and E in U(n_+), and H·E·x is
+H·(E·x): a letter is inserted into E from the right by rest·last·x =
+(rest·x)·last + rest·[last, x], memoized on (E, letter, None), and a
+lowering letter that reaches the empty front gives 0, so no n_-U(g) term
+is ever built.  A configurable term-count guard bounds each insertion,
+each bracket and each monomial product.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -199,7 +206,8 @@ class UEA:
     """Normal-ordering engine for U(g) over a fixed LieAlgebra.
 
     Elements are immutable; the memo table of insertions, keyed
-    (letter, monomial), and of brackets, keyed (monomial, letter), is
+    (letter, monomial), of brackets, keyed (monomial, letter), and of right
+    insertions modulo n_-U(g), keyed (raising monomial, letter, None), is
     append-only, so concurrent readers always observe identical canonical
     forms.
     """
@@ -315,18 +323,28 @@ class UEA:
 
     # -- adjoint action -------------------------------------------------------
 
-    def ad(self, x: UEAElement, y: UEAElement) -> UEAElement:
+    def ad(
+        self, x: UEAElement, y: UEAElement, modulo_nminus: bool = False
+    ) -> UEAElement:
         """[x, y] for x in g: the sum of c·c'·[letter, m] over the terms
         c·letter of x and c'·m of y, each bracket by the Leibniz rule.  A
         monomial of x that is not one letter to the first power is a
-        ValueError."""
+        ValueError.  With modulo_nminus, x must lie in b_- and y be given
+        in the basis of U(g)/n_-U(g), the monomials with no lowering letter:
+        there ad(f)·y = -y·f, as f·y lies in n_-U(g), and ad(h) is the
+        bracket."""
         out: dict[Monomial, Rat] = {}
         for mx, cx in x.terms.items():
             if len(mx) != 1 or mx[0][1] != 1:
                 raise ValueError("ad(x) needs x in g: one letter per monomial")
+            letter, act = mx[0][0], self._bracket
+            if modulo_nminus and letter < self.h_start:
+                act, cx = self._right_insert, -cx
+            elif modulo_nminus and letter >= self.e_start:
+                raise ValueError("ad(x) modulo n_-U(g) needs x in b_-: a raising letter")
             for my, cy in y.terms.items():
                 c = cx * cy
-                for m, c2 in self._bracket(mx[0][0], my).items():
+                for m, c2 in act(letter, my).items():
                     add_into(out, m, c * c2)
         return UEAElement(self, self._guard(out))
 
@@ -342,6 +360,53 @@ class UEA:
             # [x, head·rest] = head·[x, rest] + [x, head]·rest
             out = self._insert_each(head, self._bracket(x, rest))
             self._add_bracket_times(out, x, head, rest)
+            cached = self._mono_cache[key] = self._guard(out)
+        return cached
+
+    def _right_insert(self, x: int, mono: Monomial) -> dict[Monomial, int]:
+        """mono·x in U(g)/n_-U(g), for mono with no lowering letter, in the
+        basis of such monomials.  mono = H·E with H in U(h) and E in U(n_+),
+        so it is H·(E·x): E·x is memoized without H, and the h letters that
+        lead its terms join H's.  The letters before the first raising one
+        are the monomial's entries below (e_start,)."""
+        k = bisect.bisect_left(mono, (self.e_start,))
+        if not k:
+            return self._right_insert_raising(x, mono)
+        out: dict[Monomial, int] = {}
+        for m, c in self._right_insert_raising(x, mono[k:]).items():
+            j = bisect.bisect_left(m, (self.e_start,))
+            if j:
+                exps = dict(mono[:k])
+                for idx, p in m[:j]:
+                    exps[idx] = exps.get(idx, 0) + p
+                m = tuple(sorted(exps.items())) + m[j:]
+            else:
+                m = mono[:k] + m
+            out[m] = c
+        return out
+
+    def _right_insert_raising(self, x: int, mono: Monomial) -> dict[Monomial, int]:
+        """mono·x in U(g)/n_-U(g) for mono in U(n_+), memoized on
+        (mono, x, None)."""
+        if not mono:
+            return {} if x < self.h_start else {((x, 1),): 1}
+        last, p = mono[-1]
+        if x > last:
+            return {mono + ((x, 1),): 1}
+        if x == last:
+            return {mono[:-1] + ((x, p + 1),): 1}
+        key = (mono, x, None)
+        cached = self._mono_cache.get(key)
+        if cached is None:
+            rest = mono[:-1] + ((last, p - 1),) if p > 1 else mono[:-1]
+            # rest·last·x = (rest·x)·last + rest·[last, x]
+            out: dict[Monomial, int] = {}
+            for m, c in self._right_insert_raising(x, rest).items():
+                for m2, c2 in self._right_insert(last, m).items():
+                    add_into(out, m2, c * c2)
+            for k, c in self.brackets[(last, x)].items():
+                for m, c2 in self._right_insert_raising(k, rest).items():
+                    add_into(out, m, c * c2)
             cached = self._mono_cache[key] = self._guard(out)
         return cached
 
@@ -386,12 +451,6 @@ class UEA:
             for m, c in r.terms.items()
             if all(idx < self.e_start for idx, _ in m)
         }
-        return UEAElement(self, kept)
-
-    def reduce_mod_nminus(self, r: UEAElement) -> UEAElement:
-        """Drop every monomial whose first letter is a lowering letter, the
-        span of the right ideal n_-U(g).  The empty monomial is kept."""
-        kept = {m: c for m, c in r.terms.items() if not m or m[0][0] >= self.h_start}
         return UEAElement(self, kept)
 
     def weight_of(self, r: UEAElement):

@@ -15,13 +15,15 @@ the pure-Cartan part of the f·h·e normal form, which kills n_-U(g)
 P_0 is computed in U(g)/n_-U(g).  Each R_mu with mu >= 0 is spanned by the
 f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so only the weights mu >= 0
 are built.  n_-U(g) is a right ideal, spanned by the monomials that start
-with a lowering letter, and ad(f_i) maps it into itself, so the descent
-drops those monomials after each ad(f_i).  What is left lies in
-U(h) U(n_+), whose weight-0 part U(h) holds the projection of R_0.  The
-projection is injective on each R_mu with mu >= 0 at every point run, and a
-space that it shrank would close short of its target and raise.  The
-explicit closed-form polynomials are transcribed independently so
-membership can be cross-checked.
+with a lowering letter, so U(g)/n_-U(g) is a right U(g)-module whose basis
+is the monomials in h and n_+ alone.  ad(f_i) maps n_-U(g) into itself,
+and on the quotient it is x |-> -x·f_i, because f_i·x lies in n_-U(g); the
+descent takes that step there and builds no n_-U(g) term to drop after
+the fact.  Its vectors lie in U(h) U(n_+), whose weight-0 part U(h) holds
+the projection of R_0.  The projection is injective on each R_mu with
+mu >= 0 at every point run, and a space that it shrank would close short
+of its target and raise.  The explicit closed-form polynomials are
+transcribed independently so membership can be cross-checked.
 """
 
 from __future__ import annotations
@@ -108,9 +110,10 @@ def generate_module(
     dimension; the descent builds no vector outside them.  Without
     nonnegative it builds all of R in U(g).  With nonnegative it builds
     the weights mu >= 0 only (every partial sum of the eps-coordinates
-    >= 0), in U(g)/n_-U(g): after each ad(f_i) it drops the monomials that
-    start with a lowering letter (Dixmier, *Enveloping Algebras*, ch. 7),
-    so its zero-weight rows are the Harish-Chandra projections of R_0.
+    >= 0), in the right module U(g)/n_-U(g), where each step ad(f_i).x is
+    -x·f_i, computed there with no n_-U(g) term built (Dixmier,
+    *Enveloping Algebras*, ch. 7), so its zero-weight rows are the
+    Harish-Chandra projections of R_0.
     ad(f_i).x is not computed once the space it lands in is full, so no
     space can overfill.  A v that some ad(e_i) does not kill, or a space
     that closes at a dimension other than its target, signals a
@@ -150,9 +153,7 @@ def generate_module(
             mu = tuple(c + d for c, d in zip(w, step))
             if basis.dim_at(mu) >= targets.get(mu, 0):
                 continue
-            u = engine.ad(f, x)
-            if nonnegative:
-                u = engine.reduce_mod_nminus(u)
+            u = engine.ad(f, x, modulo_nminus=nonnegative)
             if u.is_zero():
                 continue
             row = basis.space(mu).insert(u.terms)
@@ -205,13 +206,15 @@ def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     return head * tail
 
 
-QChain = tuple[tuple[int, ...], int, int]   # (alpha, length, start)
+# (alpha, coroot, length, start)
+QChain = tuple[tuple[int, ...], tuple[int, ...], int, int]
 
 
 def q_terms(rank: int, n: int) -> list[tuple[int, list[QChain]]]:
     """q as a sum over the compositions (k_1..k_l) of n, each term given as
     (k_1, chains): the coefficient 1/(k_1! 4^{k_1}) times the falling chains
-    (alpha, length, start) of h_alpha, alpha in integer eps-coordinates.
+    (alpha, coroot, length, start) of h_alpha, alpha and its coroot in
+    integer eps-coordinates, each coroot computed once per call.
 
     Each term has a chain of h_{eps_1} of length 2 k_1 starting at shift
     2(n - k_1) and, for each j = 2..l with k_j > 0, a chain of
@@ -219,14 +222,16 @@ def q_terms(rank: int, n: int) -> list[tuple[int, list[QChain]]]:
     This list is the one source of q: explicit_q expands it, q_numerator
     evaluates it.
     """
-    eps1 = tuple(map(int, eps_root(rank, 1).eps))
+    alphas = [eps_root(rank, 1).eps] + [
+        eps_root(rank, 1, j, -1).eps for j in range(2, rank + 1)
+    ]
+    roots = [(alpha, int_coroot(alpha)) for alpha in alphas]
     out = []
     for ks in _compositions(n, rank):
-        chains = [(eps1, 2 * ks[0], 2 * (n - ks[0]))]
+        chains = [(*roots[0], 2 * ks[0], 2 * (n - ks[0]))]
         for j in range(2, rank + 1):
             if ks[j - 1]:
-                alpha = tuple(map(int, eps_root(rank, 1, j, -1).eps))
-                chains.append((alpha, ks[j - 1], sum(ks[1 : j - 1])))
+                chains.append((*roots[j - 1], ks[j - 1], sum(ks[1 : j - 1])))
         out.append((ks[0], chains))
     return out
 
@@ -237,7 +242,7 @@ def explicit_q(lie: LieAlgebra, n: int) -> CartanPolynomial:
     total = CartanPolynomial(l, {})
     for k1, chains in q_terms(l, n):
         term = CartanPolynomial.constant(l, 1)
-        for alpha, length, start in chains:
+        for alpha, _, length, start in chains:
             term = term * falling(h_alpha_poly(lie, Root(alpha)), length, start=start)
         total = total + Fraction(1, math.factorial(k1) * 4**k1) * term
     return total
@@ -257,10 +262,10 @@ def q_numerator(
     total = 0
     for k1, chains in terms:
         term = math.factorial(n) // math.factorial(k1) * (4 * d) ** (n - k1)
-        for alpha, length, start in chains:
-            p = pairing.get(alpha)
+        for _, coroot, length, start in chains:
+            p = pairing.get(coroot)
             if p is None:
-                p = pairing[alpha] = sum(a * x for a, x in zip(int_coroot(alpha), eps))
+                p = pairing[coroot] = sum(a * x for a, x in zip(coroot, eps))
             for t in range(start, start + length):
                 term *= p - t * d
         total += term

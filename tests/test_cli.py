@@ -132,8 +132,8 @@ def test_json_schema_and_round_trip(capsys):
     assert again == out
 
 
-# p0's guard bounds each U(g) normal form: at rank 3, n = 1 one bracket
-# [f_i, x] of the oracle descent has 3 terms
+# p0's guard bounds each U(g) normal form: at rank 3, n = 1 the product
+# that builds the singular image reaches 3 terms
 def test_guard_flag_exits_2(capsys):
     code, _, err = run(capsys, "p0", "--rank", "3", "--n", "1", "--guard", "2")
     assert code == 2

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_engine, get_lie
+from conftest import get_engine, get_lie, reduce_mod_nminus
 
 import blvoa.uea
 import blvoa.zero_weight
@@ -267,7 +267,10 @@ def test_reduce_mod_nplus():
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_reduce_mod_nminus_is_the_quotient_by_a_right_ideal(l):
     eng = get_engine(l)
-    red = eng.reduce_mod_nminus
+
+    def red(r):
+        return reduce_mod_nminus(eng, r)
+
     assert red(eng.one()) == eng.one()
     lowering = [eng.gen(b) for b in eng.lie.basis[: eng.h_start]]
     rng = random.Random(900 + l)
@@ -282,6 +285,51 @@ def test_reduce_mod_nminus_is_the_quotient_by_a_right_ideal(l):
             assert red(eng.multiply(f, x)).is_zero()
             u = red(eng.ad(f, x))
             assert u == red(eng.ad(f, r)) == red(-eng.multiply(x, f))
+
+
+def _random_quotient_element(eng, rng):
+    """2-4 monomials of up to four h and e letters each, at powers up to 3:
+    an element of U(g)/n_-U(g) in its basis."""
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        mono = {
+            rng.randrange(eng.h_start, eng.nbasis): rng.randint(1, 3)
+            for _ in range(rng.randint(0, 4))
+        }
+        terms[tuple(sorted(mono.items()))] = Fraction(rng.randint(-5, 5) or 1, 2)
+    return eng.element(terms)
+
+
+# the quotient's right insertion, for every letter, is the product in U(g)
+# with its lowering-led monomials dropped; ad modulo n_-U(g) is built on it
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_right_insertion_is_the_product_modulo_nminus(l):
+    eng = UEA(get_lie(l))
+    rng = random.Random(1000 + l)
+    for _ in range(12):
+        x = _random_quotient_element(eng, rng)
+        for b in eng.lie.basis:
+            got = {}
+            for m, c in x.terms.items():
+                for m2, c2 in eng._right_insert(b.index, m).items():
+                    add_into(got, m2, c * c2)
+            want = reduce_mod_nminus(eng, eng.multiply(x, eng.gen(b)))
+            assert eng.element(got) == want
+            if b.index < eng.e_start:
+                ad = eng.ad(eng.gen(b), x, modulo_nminus=True)
+                assert ad == reduce_mod_nminus(eng, eng.ad(eng.gen(b), x))
+
+
+def test_ad_modulo_nminus_refuses_a_raising_letter():
+    eng = get_engine(3)
+    y = eng.multiply(eng.h(1), eng.e(Root([1, 0, 0])))
+    for alpha in eng.lie.rootsys.positive_roots:
+        with pytest.raises(ValueError, match="raising letter"):
+            eng.ad(eng.e(alpha), y, modulo_nminus=True)
+        with pytest.raises(ValueError, match="raising letter"):
+            eng.ad(eng.f(alpha) + eng.e(alpha), y, modulo_nminus=True)
+    # in U(g) the same brackets are fine
+    assert not eng.ad(eng.e(Root([0, 1, 0])), y).is_zero()
 
 
 def test_weight_of():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import get_engine, get_lie
+from conftest import get_engine, get_lie, reduce_mod_nminus
 
 from blvoa.rootsys import (
     Root,
@@ -17,6 +17,7 @@ from blvoa.rootsys import (
 from blvoa.uea import (
     CartanPolynomial,
     Echelon,
+    UEA,
     UEAElement,
     poly_echelon,
     poly_in_span,
@@ -122,12 +123,39 @@ def test_pruned_descent_matches_the_full_module(l, n):
         # the pruned descent runs modulo n_-U(g)
         quotient = Echelon()
         for row in full.spaces[w].rows():
-            quotient.insert(eng.reduce_mod_nminus(UEAElement(eng, row)).terms)
+            quotient.insert(reduce_mod_nminus(eng, UEAElement(eng, row)).terms)
         assert space.rows() == quotient.rows()
     from_full = poly_echelon(
         eng.hw_polynomial(UEAElement(eng, row)) for row in full.zero_weight_rows()
     )
     assert p0_basis(eng, n) == from_full
+
+
+def _descent_step_in_ug(eng):
+    """UEA.ad with the quotient descent's earlier step: ad(f_i)·x built in
+    U(g), then its lowering-led monomials dropped."""
+    ad = eng.ad
+
+    def step(x, y, modulo_nminus=False):
+        u = ad(x, y)
+        return reduce_mod_nminus(eng, u) if modulo_nminus else u
+
+    return step
+
+
+# the descent's step -x·f_i in U(g)/n_-U(g) against ad(f_i)·x in U(g) with
+# n_-U(g) dropped after it: the same rows in every weight space
+@pytest.mark.parametrize(
+    "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]
+)
+def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
+    module = generate_module(UEA(get_lie(l)), n, nonnegative=True)
+    eng = UEA(get_lie(l))
+    monkeypatch.setattr(eng, "ad", _descent_step_in_ug(eng))
+    reference = generate_module(eng, n, nonnegative=True)
+    assert module.spaces.keys() == reference.spaces.keys()
+    for mu, space in module.spaces.items():
+        assert space.rows() == reference.spaces[mu].rows()
 
 
 # where the quotient drops the most: each space mu >= 0 still closes at its
