@@ -16,11 +16,9 @@ from .uea import (
     CartanPolynomial,
     TermGuardExceeded,
     UEAElement,
-    check_commuting_monomials,
     check_identity,
     identity_suite,
     poly_echelon,
-    poly_in_span,
     spans_equal,
 )
 from .affine import (
@@ -34,7 +32,6 @@ from .affine import (
     build_singular_candidate,
     check_singular,
     dual_coxeter_number,
-    fz_image,
     is_admissible,
     level_of,
 )
@@ -45,7 +42,6 @@ from .zero_weight import (
     explicit_q,
     generate_module,
     p0_basis,
-    q_value,
     singular_image,
     verify_membership,
 )
@@ -56,9 +52,6 @@ from .classify import (
     classify_category_o,
     classify_finite_dim,
     merge_results,
-    mu_s,
-    mu_s_prime,
-    solve_triangular,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,15 +24,7 @@ from typing import Optional
 
 from .liealg import LieAlgebra, add_into
 from .rootsys import RootSystem, Weight, built_root, eps_root, int_coroot, is_root
-from .uea import (
-    DEFAULT_TERM_GUARD,
-    UEA,
-    Rat,
-    Sparse,
-    TermGuardExceeded,
-    UEAElement,
-    exact,
-)
+from .uea import DEFAULT_TERM_GUARD, Rat, Sparse, TermGuardExceeded, exact
 
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
 
@@ -173,7 +165,7 @@ class VacuumModule:
 
 
 # ---------------------------------------------------------------------------
-# the singular vector and its image in U(g)
+# the singular vector
 # ---------------------------------------------------------------------------
 
 
@@ -255,23 +247,6 @@ def check_singular(
         residual_terms=total,
         residuals=residuals,
     )
-
-
-def fz_image(v: VermaVector, engine: UEA) -> UEAElement:
-    """Image of a mode -1 creation vector in U(g): reversed word product.
-
-    Only words x_1(-1)...x_m(-1).1 are supported; the general map carries a
-    sign (-1)^(sum of deeper modes) that is identically 1 here.
-    """
-    out = engine.zero()
-    for word, c in v.terms.items():
-        if any(mode != -1 for mode, _ in word):
-            raise ValueError("fz_image supports mode -1 words only")
-        piece = engine.one()
-        for _, idx in reversed(word):
-            piece = engine.multiply(piece, engine.gen(engine.lie.basis[idx]))
-        out = out + c * piece
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Enumeration of the classified highest weights at level n - l + 1/2.
 
-Three lists are produced: the common zeros of the triangular polynomial
-system (at most (2n)^l of them), the closed-form category-O list for n = 1
-(two weights per subset of {1..l-1}, giving 2^l), and the dominant
-integral weights with (mu, eps_1) <= n - 1/2.  Every entry can be
-certified admissible as an affine weight k Lambda_0 + mu.
+Two lists are produced: the category-O list, the common zeros of the
+triangular polynomial system (at most (2n)^l of them) at which q
+vanishes, which at n = 1 are the 2^l weights mu_S and mu_S' (two per
+subset S of {1..l-1}), and the dominant integral weights with
+(mu, eps_1) <= n - 1/2.  Every entry can be certified admissible as an
+affine weight k Lambda_0 + mu.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .affine import AdmissibilityResult, AffineWeight, is_admissible, level_of
 from .liealg import LieAlgebra
@@ -45,18 +46,6 @@ def _fundamental_keys(weights: Sequence[Weight]) -> list[tuple[int, ...]]:
     d = math.lcm(*(c.denominator for w in weights for c in w.eps))
     scaled = [[c.numerator * (d // c.denominator) for c in w.eps] for w in weights]
     return [tuple(a - b for a, b in zip(m, m[1:])) + (2 * m[-1],) for m in scaled]
-
-
-def _sorted_entries(entries: Iterable[Entry]) -> list[Entry]:
-    entries = list(entries)
-    keys = _fundamental_keys([e.weight for e in entries])
-    return [entries[i] for i in sorted(range(len(entries)), key=keys.__getitem__)]
-
-
-def solve_triangular(rank: int, n: int) -> list[Weight]:
-    """All common zeros of p_1, ..., p_l by back-substitution, sorted by
-    fundamental coordinates (see _doubled_zeros)."""
-    return [_weight_of_doubled(d) for d in _doubled_zeros(rank, n)]
 
 
 def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
@@ -96,80 +85,32 @@ def _weight_of_doubled(doubled: Sequence[int]) -> Weight:
     return Weight(Fraction(x, 4) for x in _quadrupled_eps(doubled))
 
 
-def mu_s(rs: RootSystem, subset: Sequence[int]) -> Weight:
-    """The closed-form solution with h_l = 0 attached to a subset of {1..l-1}."""
-    return _mu_subset(rs, subset, Fraction(2 * rs.rank - 1, 2), add_last=False)
-
-
-def mu_s_prime(rs: RootSystem, subset: Sequence[int]) -> Weight:
-    """The companion solution with h_l = 1: shifted constant plus omega_l."""
-    return _mu_subset(rs, subset, Fraction(2 * rs.rank + 1, 2), add_last=True)
-
-
-def _mu_subset(
-    rs: RootSystem, subset: Sequence[int], const: Fraction, add_last: bool
-) -> Weight:
-    idxs = sorted(subset)
-    if any(not 1 <= i <= rs.rank - 1 for i in idxs) or len(set(idxs)) != len(idxs):
-        raise ValueError(f"subset {subset} not inside 1..{rs.rank - 1}")
-    k = len(idxs)
-    mu = Weight([0] * rs.rank)
-    for j in range(k):   # 0-based j; the alternating signs use offsets only
-        coeff = Fraction(idxs[j])
-        for s in range(j + 1, k):
-            coeff += 2 * (-1) ** (s - j) * idxs[s]
-        coeff += (-1) ** (k - j) * const
-        mu = mu + coeff * rs.fundamental_weight(idxs[j])
-    if add_last:
-        mu = mu + rs.fundamental_weight(rs.rank)
-    return mu
-
-
-def _subset_label(subset: Sequence[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(subset)) + "}"
-
-
-def _all_subsets(upper: int) -> Iterable[tuple[int, ...]]:
-    out = [()]
-    for i in range(1, upper + 1):
-        out = out + [s + (i,) for s in out]
-    return out
-
-
 def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
-    """The category-O highest-weight list at level n - l + 1/2.
+    """The category-O highest-weight list at level n - l + 1/2: the common
+    zeros of p_1..p_l at which q vanishes, q evaluated from its product
+    form in integers, sorted by fundamental coordinates.
 
-    For n = 1 this is the complete list: mu_S and mu_S' over all subsets
-    S of {1..l-1}, 2^l entries.  For n > 1 the triangular-system zeros are
-    filtered by the vanishing of q, evaluated from its product form in
-    integers, and flagged as candidates (complete=False): the full
+    For n = 1, q lies in the span of the p_i, so every zero is kept and the
+    list is complete: the 2^l weights mu_S and mu_S', S a subset of
+    {1..l-1}.  There each p_i (i < l) has the roots 0 and a half-integer,
+    so S = {i < l : c_i != 0}, and the weight is mu_S' when c_l != 0.  For
+    n > 1 the zeros are flagged as candidates (complete=False): the full
     polynomial span could cut further.
     """
     rs = lie.rootsys
-    k = level_of(rs.rank, n)
-    if n == 1:
-        entries = []
-        for subset in _all_subsets(rs.rank - 1):
-            entries.append(
-                Entry(mu_s(rs, subset), ("category-O",), "S=" + _subset_label(subset))
-            )
-            entries.append(
-                Entry(
-                    mu_s_prime(rs, subset),
-                    ("category-O",),
-                    "S'=" + _subset_label(subset),
-                )
-            )
-        return ClassificationResult(
-            rs.rank, n, k, _sorted_entries(entries), complete=True
-        )
     terms = q_terms(rs.rank, n)
-    entries = [   # _doubled_zeros is sorted, so these are by fundamental coordinates
-        Entry(_weight_of_doubled(d), ("category-O", "candidate"))
-        for d in _doubled_zeros(rs.rank, n)
-        if q_numerator(terms, n, _quadrupled_eps(d), 4) == 0
-    ]
-    return ClassificationResult(rs.rank, n, k, entries, complete=False)
+    entries = []
+    for d in _doubled_zeros(rs.rank, n):
+        if q_numerator(terms, n, _quadrupled_eps(d), 4) != 0:
+            continue
+        tags, label = ("category-O", "candidate"), None
+        if n == 1:
+            subset = ",".join(str(i) for i, c in enumerate(d[:-1], 1) if c)
+            tags, label = ("category-O",), ("S'=" if d[-1] else "S=") + "{" + subset + "}"
+        entries.append(Entry(_weight_of_doubled(d), tags, label))
+    return ClassificationResult(
+        rs.rank, n, level_of(rs.rank, n), entries, complete=n == 1
+    )
 
 
 def classify_finite_dim(rs: RootSystem, n: int) -> ClassificationResult:

@@ -155,14 +155,6 @@ class LieAlgebra:
     def h(self, i: int) -> BasisElement:
         return self._by_key[("h", i)]
 
-    def chevalley_generators(self) -> tuple[list[BasisElement], ...]:
-        """(e_1..e_l, f_1..f_l, h_1..h_l) as basis elements."""
-        simple = self.rootsys.simple_roots
-        es = [self.e(a) for a in simple]
-        fs = [self.f(a) for a in simple]
-        hs = [self.h(i) for i in range(1, self.rank + 1)]
-        return es, fs, hs
-
     # -- algebra operations --------------------------------------------------
 
     def invariant_form(self, x: BasisElement, y: BasisElement) -> int:

@@ -225,14 +225,6 @@ class RootSystem:
             self._splits = tuple(splits)
         return self._splits
 
-    def fundamental_weight(self, i: int) -> Weight:
-        """omega_i (1-based): eps_1 + ... + eps_i, halved for i = l."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"fundamental weight index {i} out of range")
-        if i < self.rank:
-            return Weight([1] * i + [0] * (self.rank - i))
-        return Weight([Fraction(1, 2)] * self.rank)
-
     def is_dominant_integral(self, mu: Weight) -> bool:
         """mu is in P_+: nonnegative integer value on every simple coroot,
         i.e. nonnegative integer fundamental coordinates."""

@@ -28,7 +28,6 @@ each bracket and each monomial product.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -271,6 +270,8 @@ class UEA:
         return UEAElement(self, self._guard(out))
 
     def power(self, a: UEAElement, n: int) -> UEAElement:
+        if n < 0:
+            raise ValueError("negative power")
         out = self.one()
         for _ in range(n):
             out = self.multiply(out, a)
@@ -418,30 +419,6 @@ class UEA:
             y = self.ad(x, y)
         return y
 
-    def ad_word(self, letters: Sequence[UEAElement], y: UEAElement) -> UEAElement:
-        """Adjoint action of the product of the letters: innermost acts first."""
-        for x in reversed(letters):
-            y = self.ad(x, y)
-        return y
-
-    def ad_power_multinomial(
-        self, x: UEAElement, n: int, factors: Sequence[UEAElement]
-    ) -> UEAElement:
-        """Adjoint power computed by distributing over a factorization.
-
-        Sums multinomial(n; k_1..k_m) * prod_i ad^{k_i}(x)(Y_i) over all
-        compositions; must agree with ad_power(x, n, prod(Y_i)).
-        """
-        m = len(factors)
-        total = self.zero()
-        for ks in _compositions(n, m):
-            coeff = math.factorial(n) // math.prod(map(math.factorial, ks))
-            piece = self.one()
-            for k, y in zip(ks, factors):
-                piece = self.multiply(piece, self.ad_power(x, k, y))
-            total = total + coeff * piece
-        return total
-
     # -- reductions and gradings ----------------------------------------------
 
     def reduce_mod_nplus(self, r: UEAElement) -> UEAElement:
@@ -490,16 +467,6 @@ def _common_grading(gradings: Iterable, default):
     it = iter(gradings)
     first = next(it, default)
     return first if all(g == first for g in it) else MIXED
-
-
-def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of m nonnegative integers summing to n."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +650,6 @@ def poly_echelon(polys: Iterable[CartanPolynomial]) -> list[CartanPolynomial]:
     return [CartanPolynomial(rank, row) for row in span.rows()]
 
 
-def poly_in_span(p: CartanPolynomial, polys: Iterable[CartanPolynomial]) -> bool:
-    """Whether p is a linear combination of polys."""
-    span = Echelon()
-    for q in polys:
-        span.insert(q.terms)
-    return not span.reduce(p.terms)
-
-
 def spans_equal(
     a: Iterable[CartanPolynomial], b: Iterable[CartanPolynomial]
 ) -> bool:
@@ -705,6 +664,8 @@ def spans_equal(
 
 def falling(p: CartanPolynomial, count: int, start: Rat = 0) -> CartanPolynomial:
     """(p - start)(p - start - 1) ... (p - start - count + 1)."""
+    if count < 0:
+        raise ValueError("negative falling-factorial length")
     out = CartanPolynomial.constant(p.rank, 1)
     for t in range(count):
         out = out * (p - (start + t))
@@ -804,36 +765,6 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         need(3 <= i <= l and k > 0, "identity 12 needs 3 <= i <= l, k > 0")
         return vanishes(eps_root(l, 1, i, -1), k, eps_root(l, 1, 2, -1), m)
     raise ValueError(f"unknown identity {ident}")
-
-
-def check_commuting_monomials(
-    engine: UEA, betas: Sequence[Root], gammas: Sequence[Root]
-) -> bool:
-    """Adjoint action of commuting raising/lowering monomials on each other.
-
-    With Y1 = prod e_beta (pairwise commuting), Y2 = prod f_gamma (pairwise
-    commuting) and equal root sums, both (Y1)_L Y2 - Y1*Y2 and
-    (Y2)_L Y1 - (-1)^m Y1*Y2 must lie in U(g)n_+.
-    """
-    zero = Weight([0] * engine.lie.rank)
-    if sum(betas, zero) != sum(gammas, zero):
-        raise ValueError("root sums differ")
-    e_letters = [engine.e(b) for b in betas]
-    f_letters = [engine.f(g) for g in gammas]
-    for xs in (e_letters, f_letters):
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                if not engine.ad(xs[i], xs[j]).is_zero():
-                    raise ValueError("letters do not commute")
-    y1 = functools.reduce(engine.multiply, e_letters, engine.one())
-    y2 = functools.reduce(engine.multiply, f_letters, engine.one())
-    prod = engine.multiply(y1, y2)
-    lhs1 = engine.ad_word(e_letters, y2)
-    if not engine.reduce_mod_nplus(lhs1 - prod).is_zero():
-        return False
-    sign = (-1) ** len(gammas)
-    lhs2 = engine.ad_word(f_letters, y1)
-    return engine.reduce_mod_nplus(lhs2 - sign * prod).is_zero()
 
 
 def identity_suite(engine: UEA, bound: int = 3) -> list[tuple[int, dict, str]]:

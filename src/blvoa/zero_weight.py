@@ -41,7 +41,6 @@ from .uea import (
     Echelon,
     Monomial,
     UEAElement,
-    _compositions,
     falling,
     h_alpha_poly,
     poly_echelon,
@@ -87,39 +86,31 @@ class AdModuleBasis:
         space = self.spaces.get(eps)
         return space.dim if space else 0
 
-    @property
-    def dim_zero(self) -> int:
-        return self.dim_at((0,) * self.rank)
-
     def zero_weight_rows(self) -> list[dict[Monomial, Fraction]]:
         space = self.spaces.get((0,) * self.rank)
         return space.rows() if space else []
 
 
 def generate_module(
-    engine: UEA,
-    n: int,
-    ceiling: int = DEFAULT_DIM_CEILING,
-    nonnegative: bool = False,
+    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
 ) -> AdModuleBasis:
-    """Descend from v, the singular image in integers, under ad(f_i) alone.
+    """Descend from v, the singular image in integers, under ad(f_i) alone,
+    through the weights mu >= 0 (every partial sum of the eps-coordinates
+    >= 0) of R, in the right module U(g)/n_-U(g).
 
     Every ad(e_i) kills v, so R = U(n_-).v, and each row carries its
     weight, lowered by alpha_i per step.  The targets are the weight
     multiplicities of V(2n eps_1), whose sum is checked against the Weyl
-    dimension; the descent builds no vector outside them.  Without
-    nonnegative it builds all of R in U(g).  With nonnegative it builds
-    the weights mu >= 0 only (every partial sum of the eps-coordinates
-    >= 0), in the right module U(g)/n_-U(g), where each step ad(f_i).x is
-    -x·f_i, computed there with no n_-U(g) term built (Dixmier,
-    *Enveloping Algebras*, ch. 7), so its zero-weight rows are the
-    Harish-Chandra projections of R_0.
+    dimension, kept at mu >= 0; the descent builds no vector outside them.
+    Each step ad(f_i).x is -x·f_i, computed in the quotient with no
+    n_-U(g) term built (Dixmier, *Enveloping Algebras*, ch. 7), so the
+    zero-weight rows are the Harish-Chandra projections of R_0.
     ad(f_i).x is not computed once the space it lands in is full, so no
     space can overfill.  A v that some ad(e_i) does not kill, or a space
     that closes at a dimension other than its target, signals a
-    structure-constant bug, or on the quotient a projection that is not
-    injective, and raises.  OracleCeilingExceeded is raised before any
-    work when the targets sum past the ceiling.
+    structure-constant bug or a projection that is not injective, and
+    raises.  OracleCeilingExceeded is raised before any work when the
+    targets sum past the ceiling.
     """
     lie = engine.lie
     l = lie.rank
@@ -131,12 +122,9 @@ def generate_module(
             f"weight multiplicities of V({2 * n} eps_1) do not sum to its"
             " Weyl dimension"
         )
-    if nonnegative:
-        targets = {
-            mu: m
-            for mu, m in targets.items()
-            if min(itertools.accumulate(mu)) >= 0
-        }
+    targets = {
+        mu: m for mu, m in targets.items() if min(itertools.accumulate(mu)) >= 0
+    }
     total = sum(targets.values())
     if total > ceiling:
         raise OracleCeilingExceeded(
@@ -153,7 +141,7 @@ def generate_module(
             mu = tuple(c + d for c, d in zip(w, step))
             if basis.dim_at(mu) >= targets.get(mu, 0):
                 continue
-            u = engine.ad(f, x, modulo_nminus=nonnegative)
+            u = engine.ad(f, x, modulo_nminus=True)
             if u.is_zero():
                 continue
             row = basis.space(mu).insert(u.terms)
@@ -174,7 +162,7 @@ def p0_basis(
     """Canonical basis of the highest-weight polynomials of the zero-weight
     space, computed from the oracle module at the weights >= 0 modulo
     n_-U(g)."""
-    module = generate_module(engine, n, ceiling, nonnegative=True)
+    module = generate_module(engine, n, ceiling)
     polys = [
         engine.hw_polynomial(UEAElement(engine, row))
         for row in module.zero_weight_rows()
@@ -204,6 +192,16 @@ def explicit_p(lie: LieAlgebra, i: int, n: int) -> CartanPolynomial:
     offset = Fraction(2 * (l - i) - 1, 2)   # l - i - 1/2
     tail = falling(hsum + offset, n)
     return head * tail
+
+
+def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
+    """All tuples of m nonnegative integers summing to n."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, m - 1):
+            yield (first,) + rest
 
 
 # (alpha, coroot, length, start)
@@ -270,15 +268,6 @@ def q_numerator(
                 term *= p - t * d
         total += term
     return total
-
-
-def q_value(n: int, mu: Weight) -> Fraction:
-    """q(mu), exactly, from the product form: explicit_q's value at mu
-    without the expanded polynomial."""
-    d = math.lcm(*(c.denominator for c in mu.eps))
-    eps = [int(c * d) for c in mu.eps]
-    scale = 4**n * math.factorial(n) * d ** (2 * n)
-    return Fraction(q_numerator(q_terms(mu.rank, n), n, eps, d), scale)
 
 
 def explicit_polys(lie: LieAlgebra, n: int) -> list[CartanPolynomial]:

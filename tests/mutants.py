@@ -12,7 +12,7 @@ Each mutant is applied to a fresh temporary copy of src (with tests,
 perfbench and pyproject.toml beside it, as the tests read them); its tests
 run there, and a mutant survives when they all pass.  The run prints each
 mutant as killed or SURVIVED with its time, and exits 1 if any survived;
-the full run (nine mutants) takes about 9 s on a 2-CPU x86-64 machine.
+the full run (eleven mutants) takes about 12 s on a 2-CPU x86-64 machine.
 Standard library only.
 """
 
@@ -117,6 +117,23 @@ MUTANTS: tuple[Mutant, ...] = (
         "return {} if x < self.h_start else {((x, 1),): 1}",
         "return {((x, 1),): 1}",
         (RIGHT_INSERTION, QUOTIENT_DESCENT),
+    ),
+    Mutant(
+        "n = 1 S and S' labels swapped",
+        "src/blvoa/classify.py",
+        """("S'=" if d[-1] else "S=")""",
+        """("S=" if d[-1] else "S'=")""",
+        ("tests/test_classify.py::test_category_o_at_n1_matches_the_closed_form",),
+    ),
+    Mutant(
+        "oracle targets kept only at mu > 0",
+        "src/blvoa/zero_weight.py",
+        "if min(itertools.accumulate(mu)) >= 0",
+        "if min(itertools.accumulate(mu)) > 0",
+        (
+            "tests/test_zero_weight.py::test_quotient_descent_closes_every_space_at_its_target",
+            "tests/test_zero_weight.py::test_pruned_descent_matches_the_full_module",
+        ),
     ),
 )
 

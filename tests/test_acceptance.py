@@ -18,8 +18,16 @@ from fractions import Fraction
 
 import pytest
 
+from classify_reference import fundamental_weight, mu_s, mu_s_prime
 from conftest import get_engine, get_lie
 from fraction_reference import inner, shifted_pairing
+from oracle_reference import dim_zero, generate_whole_module
+from uea_reference import (
+    ad_power_multinomial,
+    check_commuting_monomials,
+    fz_image,
+    poly_in_span,
+)
 
 from blvoa.affine import (
     AffineRealRoot,
@@ -28,32 +36,19 @@ from blvoa.affine import (
     affine_bracket,
     build_singular_candidate,
     check_singular,
-    fz_image,
     is_admissible,
 )
-from blvoa.classify import (
-    classify_category_o,
-    classify_finite_dim,
-    mu_s,
-    mu_s_prime,
-    solve_triangular,
-)
+from blvoa.classify import classify_category_o, classify_finite_dim
 from blvoa.rootsys import (
     Root,
     Weight,
     harmonic_multiplicities,
     weight_from_fundamental,
 )
-from blvoa.uea import (
-    check_commuting_monomials,
-    identity_suite,
-    poly_in_span,
-    spans_equal,
-)
+from blvoa.uea import identity_suite, spans_equal
 from blvoa.zero_weight import (
     explicit_polys,
     explicit_q,
-    generate_module,
     p0_basis,
     singular_image,
     verify_membership,
@@ -126,18 +121,18 @@ def character_of(module) -> dict:
 
 def test_criterion_02_oracle_dimensions_2_1():
     t0 = time.monotonic()
-    module = generate_module(get_engine(2), 1)
+    module = generate_whole_module(get_engine(2), 1)
     elapsed = time.monotonic() - t0
     char = harmonic_character(2, 2)
     want0 = char[(0, 0)]
     report(
         f"2 oracle dims (2,1): dim R = {module.dim} (want 14), "
-        f"dim R_0 = {module.dim_zero} (want {want0}), character of "
+        f"dim R_0 = {dim_zero(module)} (want {want0}), character of "
         f"V(2 eps_1): {'PASS' if character_of(module) == char else 'FAIL'} "
         f"[{elapsed:.1f}s]"
     )
     assert module.dim == 14
-    assert module.dim_zero == want0
+    assert dim_zero(module) == want0
     assert character_of(module) == char
     assert elapsed < 120
 
@@ -145,19 +140,19 @@ def test_criterion_02_oracle_dimensions_2_1():
 def test_criterion_02_oracle_dimensions_3_1():
     eng = get_engine(3)
     t0 = time.monotonic()
-    module = generate_module(eng, 1)
+    module = generate_whole_module(eng, 1)
     elapsed = time.monotonic() - t0
     want = eng.lie.rootsys.weyl_dim(Weight([2, 0, 0]))
     char = harmonic_character(3, 2)
     want0 = char[(0, 0, 0)]
     report(
         f"2 oracle dims (3,1): dim R = {module.dim} (want {want}), "
-        f"dim R_0 = {module.dim_zero} (want {want0}), character of "
+        f"dim R_0 = {dim_zero(module)} (want {want0}), character of "
         f"V(2 eps_1): {'PASS' if character_of(module) == char else 'FAIL'} "
         f"[{elapsed:.1f}s]"
     )
     assert module.dim == want
-    assert module.dim_zero == want0
+    assert dim_zero(module) == want0
     assert character_of(module) == char
     assert elapsed < 120
 
@@ -165,24 +160,24 @@ def test_criterion_02_oracle_dimensions_3_1():
 def test_criterion_02_oracle_dimensions_2_2():
     eng = get_engine(2)
     t0 = time.monotonic()
-    module = generate_module(eng, 2)
+    module = generate_whole_module(eng, 2)
     elapsed = time.monotonic() - t0
     want = eng.lie.rootsys.weyl_dim(Weight([4, 0]))
     dim_ok = module.dim == want
     char = harmonic_character(2, 2 * 2)
     want0 = char[(0, 0)]
-    r0_ok = module.dim_zero == want0
+    r0_ok = dim_zero(module) == want0
     char_ok = character_of(module) == char
     report(
         f"2 oracle dims (2,2): dim R = {module.dim} (want {want}): "
-        f"{'PASS' if dim_ok else 'FAIL'}; dim R_0 = {module.dim_zero} "
+        f"{'PASS' if dim_ok else 'FAIL'}; dim R_0 = {dim_zero(module)} "
         f"(want {want0}): {'PASS' if r0_ok else 'FAIL'}; character of "
         f"V(4 eps_1): {'PASS' if char_ok else 'FAIL'} [{elapsed:.1f}s]"
     )
     assert elapsed < 120
     assert dim_ok
     assert r0_ok, (
-        f"dim R_0 = {module.dim_zero}, but V(4 eps_1) of B_2 has "
+        f"dim R_0 = {dim_zero(module)}, but V(4 eps_1) of B_2 has "
         f"zero-weight multiplicity {want0}"
     )
     assert char_ok, (
@@ -364,7 +359,7 @@ def test_criterion_08_identity_suite():
             prod = eng.one()
             for fac in factors:
                 prod = eng.multiply(prod, fac)
-            if eng.ad_power_multinomial(x, n, factors) != eng.ad_power(x, n, prod):
+            if ad_power_multinomial(eng, x, n, factors) != eng.ad_power(x, n, prod):
                 failures.append((l, "multinomial", n))
     elapsed = time.monotonic() - t0
     status = "PASS" if not failures else f"FAIL {failures[:5]}"
@@ -384,8 +379,8 @@ def test_criterion_09_closed_forms():
     ok = True
     for l in range(2, 6):
         rs = get_lie(l).rootsys
-        ok = ok and rs.weyl_dim(2 * rs.fundamental_weight(1)) == 2 * l * l + 3 * l
-        ok = ok and rs.weyl_dim(rs.fundamental_weight(1)) == 2 * l + 1
+        ok = ok and rs.weyl_dim(2 * fundamental_weight(rs, 1)) == 2 * l * l + 3 * l
+        ok = ok and rs.weyl_dim(fundamental_weight(rs, 1)) == 2 * l + 1
     report(f"9 closed-form dimensions l=2..5: {'PASS' if ok else 'FAIL'}")
     assert ok
 

@@ -19,25 +19,21 @@ from blvoa.affine import (
     build_singular_candidate,
     check_singular,
     dual_coxeter_number,
-    fz_image,
     is_admissible,
     quadratic_creation_term,
 )
-from blvoa.classify import (
-    classify_category_o,
-    classify_finite_dim,
-    mu_s,
-    mu_s_prime,
-)
+from blvoa.classify import classify_category_o, classify_finite_dim
 from blvoa.rootsys import Root, Weight, weight_from_fundamental
 from blvoa.uea import _common_grading
 from blvoa.zero_weight import singular_image
+from classify_reference import mu_s, mu_s_prime
 from fraction_reference import (
     inner,
     positive_real_roots,
     reference_is_admissible,
     shifted_pairing,
 )
+from uea_reference import fz_image
 
 
 # gradings and the central element of N(k, 0), read off the vectors

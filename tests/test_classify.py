@@ -6,6 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from classify_reference import (
+    closed_form_category_o,
+    mu_s,
+    mu_s_prime,
+    q_value,
+    solve_triangular,
+)
 from conftest import get_engine, get_lie
 from fraction_reference import inner
 
@@ -15,12 +22,9 @@ from blvoa.classify import (
     classify_finite_dim,
     level_of,
     merge_results,
-    mu_s,
-    mu_s_prime,
-    solve_triangular,
 )
 from blvoa.rootsys import Weight, weight_from_fundamental
-from blvoa.zero_weight import explicit_p, explicit_q, p0_basis, q_value
+from blvoa.zero_weight import explicit_p, explicit_q, p0_basis
 
 
 def fund(w):
@@ -155,6 +159,16 @@ def test_category_o_matches_triangular_at_n1(l):
     got = {fund(e.weight) for e in result.entries}
     tri = {fund(w) for w in solve_triangular(l, 1)}
     assert got == tri
+
+
+# the n = 1 list read off the triangular zeros against the paper's closed
+# form: the same weights, in the same order, with the same S labels
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7])
+def test_category_o_at_n1_matches_the_closed_form(l):
+    lie = get_lie(l)
+    got = [(e.weight, e.s_label) for e in classify_category_o(lie, 1).entries]
+    assert got == closed_form_category_o(lie.rootsys)
+    assert len(got) == 2**l
 
 
 @pytest.mark.parametrize("l", [2, 3])

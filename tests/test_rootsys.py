@@ -19,6 +19,7 @@ from blvoa.rootsys import (
     int_coroot,
     weight_from_fundamental,
 )
+from classify_reference import fundamental_weight
 from fraction_reference import coroot_pairing, coroot_splits, inner, weyl_vector
 
 
@@ -115,7 +116,7 @@ def test_inner_permutation_symmetry():
 
 def test_coroot_pairing_examples():
     rs = build_root_system(2)
-    w1 = rs.fundamental_weight(1)
+    w1 = fundamental_weight(rs, 1)
     a1, a2 = rs.simple_roots
     assert coroot_pairing(w1, a1) == 1
     assert coroot_pairing(w1, a2) == 0
@@ -131,7 +132,7 @@ def test_fundamental_weights_dual_to_coroots():
     for l in (2, 3, 4):
         rs = build_root_system(l)
         for i in range(1, l + 1):
-            wi = rs.fundamental_weight(i)
+            wi = fundamental_weight(rs, i)
             for j, alpha in enumerate(rs.simple_roots, start=1):
                 assert coroot_pairing(wi, alpha) == (1 if i == j else 0)
 
@@ -150,20 +151,20 @@ def test_fundamental_coordinates_round_trip():
 
 def test_dominance():
     rs = build_root_system(2)
-    assert rs.is_dominant_integral(2 * rs.fundamental_weight(1))
-    assert not rs.is_dominant_integral(Fraction(-1, 2) * rs.fundamental_weight(1))
-    assert rs.is_dominant_integral(rs.fundamental_weight(2))
-    assert not rs.is_dominant_integral(Fraction(1, 3) * rs.fundamental_weight(1))
+    assert rs.is_dominant_integral(2 * fundamental_weight(rs, 1))
+    assert not rs.is_dominant_integral(Fraction(-1, 2) * fundamental_weight(rs, 1))
+    assert rs.is_dominant_integral(fundamental_weight(rs, 2))
+    assert not rs.is_dominant_integral(Fraction(1, 3) * fundamental_weight(rs, 1))
 
 
 def test_weyl_dim_values():
     rs = build_root_system(2)
-    assert rs.weyl_dim(2 * rs.fundamental_weight(1)) == 14
+    assert rs.weyl_dim(2 * fundamental_weight(rs, 1)) == 14
     for l in range(2, 7):
         rsl = build_root_system(l)
         assert rsl.weyl_dim(Weight([0] * l)) == 1
-        assert rsl.weyl_dim(rsl.fundamental_weight(1)) == 2 * l + 1
-        assert rsl.weyl_dim(2 * rsl.fundamental_weight(1)) == 2 * l * l + 3 * l
+        assert rsl.weyl_dim(fundamental_weight(rsl, 1)) == 2 * l + 1
+        assert rsl.weyl_dim(2 * fundamental_weight(rsl, 1)) == 2 * l * l + 3 * l
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -179,13 +180,13 @@ def test_weyl_dim_spin_representation():
     # the short fundamental weight carries the 2^l-dimensional module
     for l in (2, 3, 4):
         rs = build_root_system(l)
-        assert rs.weyl_dim(rs.fundamental_weight(l)) == 2**l
+        assert rs.weyl_dim(fundamental_weight(rs, l)) == 2**l
 
 
 def test_weyl_dim_rejects_non_dominant():
     rs = build_root_system(2)
     with pytest.raises(ValueError):
-        rs.weyl_dim(Fraction(-1, 2) * rs.fundamental_weight(1))
+        rs.weyl_dim(Fraction(-1, 2) * fundamental_weight(rs, 1))
 
 
 def _reference_is_dominant_integral(rs, mu) -> bool:

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from classify_reference import solve_triangular
 from conftest import get_engine, get_lie, reduce_mod_nminus
+from uea_reference import ad_power_multinomial, check_commuting_monomials, poly_in_span
 
 import blvoa.uea
 import blvoa.zero_weight
@@ -20,14 +22,12 @@ from blvoa.uea import (
     Echelon,
     TermGuardExceeded,
     UEA,
-    check_commuting_monomials,
     check_identity,
     falling,
     grlex,
     h_alpha_poly,
     identity_suite,
     poly_echelon,
-    poly_in_span,
     spans_equal,
 )
 from blvoa.zero_weight import generate_module, p0_basis, singular_image
@@ -156,6 +156,17 @@ def test_ad_refuses_an_x_outside_g():
             eng.ad(x, y)
 
 
+# a negative exponent is an error, as for gen and ad_power, not the empty product
+@pytest.mark.parametrize("n", [-1, -2])
+def test_power_rejects_a_negative_exponent(n):
+    eng = get_engine(2)
+    with pytest.raises(ValueError, match="negative power"):
+        eng.power(eng.h(1), n)
+    with pytest.raises(ValueError, match="negative power"):
+        eng.gen(eng.lie.h(1), n)
+    assert eng.power(eng.h(1), 0) == eng.one()
+
+
 def test_term_guard_bounds_each_bracket():
     # [e(eps1+eps2), f(eps2)^2 h_1 e(eps2)^2] has 10 terms at rank 2, and no
     # normal form on the way has more: a guard of 10 computes it, 9 trips
@@ -244,7 +255,7 @@ def test_ad_power_multinomial_agrees(l):
         prod = eng.one()
         for fac in factors:
             prod = eng.multiply(prod, fac)
-        assert eng.ad_power_multinomial(x, n, factors) == eng.ad_power(x, n, prod)
+        assert ad_power_multinomial(eng, x, n, factors) == eng.ad_power(x, n, prod)
 
 
 def test_reduce_mod_nplus():
@@ -664,6 +675,15 @@ def test_poly_shift_and_falling():
     assert falling(h1, 0) == CartanPolynomial.constant(2, 1)
 
 
+@pytest.mark.parametrize("count", [-1, -3])
+def test_falling_rejects_a_negative_length(count):
+    h1 = CartanPolynomial.variable(2, 1)
+    with pytest.raises(ValueError, match="negative falling-factorial length"):
+        falling(h1, count)
+    with pytest.raises(ValueError, match="negative falling-factorial length"):
+        falling(h1, count, start=2)
+
+
 @pytest.mark.parametrize("i", [0, 3])
 def test_cartan_variable_rejects_an_index_out_of_range(i):
     with pytest.raises(ValueError, match=f"h_{i} "):
@@ -749,7 +769,6 @@ def test_poly_evaluate_rejects_the_wrong_number_of_values(vals):
 # the q prefilter of classify at n >= 2, on every triangular candidate
 @pytest.mark.parametrize("l,n", [(4, 2), (3, 3)])
 def test_poly_evaluate_matches_naive_on_candidates(l, n):
-    from blvoa.classify import solve_triangular
     from blvoa.zero_weight import explicit_q
 
     q = explicit_q(get_lie(l), n)
@@ -910,10 +929,10 @@ def test_echelon_stores_primitive_rows_that_never_change():
 )
 def test_oracle_matches_the_reduced_rational_echelon(l, n, monkeypatch):
     eng = get_engine(l)
-    module = generate_module(eng, n, nonnegative=True)
+    module = generate_module(eng, n)
     basis = p0_basis(eng, n)
     monkeypatch.setattr(blvoa.zero_weight, "Echelon", _ReducedEchelon)
-    reference = generate_module(eng, n, nonnegative=True)
+    reference = generate_module(eng, n)
     assert all(type(s) is _ReducedEchelon for s in reference.spaces.values())
     assert module.spaces.keys() == reference.spaces.keys()
     for w, space in module.spaces.items():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_engine, get_lie, reduce_mod_nminus
+from oracle_reference import dim_zero, generate_whole_module
+from uea_reference import poly_in_span
 
 from blvoa.rootsys import (
     Root,
@@ -20,7 +22,6 @@ from blvoa.uea import (
     UEA,
     UEAElement,
     poly_echelon,
-    poly_in_span,
     spans_equal,
 )
 from blvoa.zero_weight import (
@@ -56,12 +57,12 @@ def test_singular_image_weight():
 )
 def test_generate_module_dimensions(l, n, dim, dim0):
     eng = get_engine(l)
-    module = generate_module(eng, n)
+    module = generate_whole_module(eng, n)
     assert module.dim == dim
     assert module.dim == eng.lie.rootsys.weyl_dim(
         Weight([2 * n] + [0] * (l - 1))
     )
-    assert module.dim_zero == dim0
+    assert dim_zero(module) == dim0
 
 
 def _two_sided_saturation(engine, n):
@@ -87,7 +88,7 @@ def _two_sided_saturation(engine, n):
 @pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (4, 1), (2, 2)])
 def test_descent_matches_two_sided_saturation(l, n):
     eng = get_engine(l)
-    module = generate_module(eng, n)
+    module = generate_whole_module(eng, n)
     reference = _two_sided_saturation(eng, n)
     assert module.spaces.keys() == reference.spaces.keys()
     for w, space in module.spaces.items():
@@ -97,7 +98,7 @@ def test_descent_matches_two_sided_saturation(l, n):
 # the descent runs in integers: each stored row is a primitive int vector
 @pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (2, 2), (2, 3)])
 def test_descent_stores_primitive_int_rows(l, n):
-    module = generate_module(get_engine(l), n)
+    module = generate_whole_module(get_engine(l), n)
     for space in module.spaces.values():
         for row in space.pivots.values():
             assert all(type(c) is int for c in row.values())
@@ -114,8 +115,8 @@ def _is_nonnegative(mu):
 )
 def test_pruned_descent_matches_the_full_module(l, n):
     eng = get_engine(l)
-    full = generate_module(eng, n)
-    pruned = generate_module(eng, n, nonnegative=True)
+    full = generate_whole_module(eng, n)
+    pruned = generate_module(eng, n)
     assert pruned.spaces.keys() == {w for w in full.spaces if _is_nonnegative(w)}
     for w, space in pruned.spaces.items():
         assert space.dim > 0
@@ -149,10 +150,10 @@ def _descent_step_in_ug(eng):
     "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]
 )
 def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
-    module = generate_module(UEA(get_lie(l)), n, nonnegative=True)
+    module = generate_module(UEA(get_lie(l)), n)
     eng = UEA(get_lie(l))
     monkeypatch.setattr(eng, "ad", _descent_step_in_ug(eng))
-    reference = generate_module(eng, n, nonnegative=True)
+    reference = generate_module(eng, n)
     assert module.spaces.keys() == reference.spaces.keys()
     for mu, space in module.spaces.items():
         assert space.rows() == reference.spaces[mu].rows()
@@ -162,7 +163,7 @@ def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
 # multiplicity in V(2n eps_1), so the projection is injective there
 @pytest.mark.parametrize("l,n", [(4, 2), (2, 4), (3, 3)])
 def test_quotient_descent_closes_every_space_at_its_target(l, n):
-    module = generate_module(get_engine(l), n, nonnegative=True)
+    module = generate_module(get_engine(l), n)
     want = {
         mu: m
         for mu, m in harmonic_multiplicities(l, 2 * n).items()
@@ -193,7 +194,7 @@ def test_descent_checks_its_targets_against_the_weyl_dimension(monkeypatch):
 
     monkeypatch.setattr("blvoa.zero_weight.harmonic_multiplicities", short)
     with pytest.raises(RuntimeError, match="Weyl dimension"):
-        generate_module(get_engine(2), 1, nonnegative=True)
+        generate_module(get_engine(2), 1)
 
 
 def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
@@ -218,9 +219,9 @@ def test_oracle_ceiling():
 def test_oracle_ceiling_counts_the_descent_targets():
     eng = get_engine(4)
     with pytest.raises(OracleCeilingExceeded, match="2508 vectors"):
-        generate_module(eng, 3)
+        generate_whole_module(eng, 3)
     with pytest.raises(OracleCeilingExceeded, match="1000 vectors"):
-        generate_module(eng, 3, ceiling=999, nonnegative=True)
+        generate_module(eng, 3, ceiling=999)
 
 
 def test_p0_basis_rank2():
