@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra, add_into
-from .rootsys import RootSystem, Weight, built_root, eps_root, int_coroot, is_root
+from .rootsys import RootSystem, Weight, built_root, eps_root, is_root
 from .uea import DEFAULT_TERM_GUARD, Rat, Sparse, TermGuardExceeded, exact
 
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
@@ -276,11 +276,6 @@ class AffineRealRoot:
             raise ValueError("loop mode must be nonnegative")
         if self.m == 0 and next(c for c in self.alpha.eps if c) < 0:
             raise ValueError("mode 0 requires a positive finite root")
-
-    def coroot_vector(self) -> tuple[int, ...]:
-        """(2 alpha/(alpha,alpha), 2m/(alpha,alpha)) in h oplus Qc coordinates."""
-        x = int_coroot(tuple(map(int, self.alpha.eps)))
-        return x + (self.m * sum(c * c for c in x) // 2,)
 
     def describe(self, rs: RootSystem) -> str:
         for i, a in enumerate(rs.simple_roots, start=1):

@@ -570,9 +570,6 @@ class CartanPolynomial(Sparse):
             total += term
         return Fraction(total, cden * d_pow[top])
 
-    def evaluate_weight(self, mu: Weight) -> Fraction:
-        return self.evaluate(mu.fundamental())
-
     def shift(self, deltas: Sequence[Rat]) -> "CartanPolynomial":
         """Substitute h_i |-> h_i + deltas[i-1].
 

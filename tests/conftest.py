@@ -1,6 +1,6 @@
 """Shared construction caches (the algebras are immutable, so one instance
 per rank serves the whole session), and reduce_mod_nminus, the reference
-the oracle descent's step in U(g)/n_-U(g) is checked against."""
+the oracle's step in U(g)/n_-U(g) is checked against."""
 
 from functools import lru_cache
 

@@ -1,8 +1,9 @@
 """Fraction references for the integer code in src: the form, coroot
 pairings, the shifted affine pairing, the Cartan matrix, the coroot splits
 by a scan of every pair, and the Fraction admissibility certificate the
-integer one replaced.  No src code calls these; the tests compare the
-integer results against them."""
+integer one replaced; also the integer coroot vector of an affine real
+root, which only the tests call.  No src code calls these; the tests
+compare the integer results against them."""
 
 import itertools
 import math
@@ -87,6 +88,13 @@ def positive_real_roots(rs: RootSystem, m_max: int) -> list[AffineRealRoot]:
             out.append(AffineRealRoot(-alpha, m))
     out.sort(key=lambda r: (r.m, r.alpha.eps))
     return out
+
+
+def coroot_vector(r: AffineRealRoot) -> tuple[int, ...]:
+    """(2 alpha/(alpha,alpha), 2m/(alpha,alpha)) in h oplus Qc coordinates,
+    in integers."""
+    x = int_coroot(tuple(map(int, r.alpha.eps)))
+    return x + (r.m * sum(c * c for c in x) // 2,)
 
 
 def fraction_coroot_vector(r: AffineRealRoot) -> tuple[Fraction, ...]:

@@ -1,7 +1,10 @@
-"""The whole-module oracle descent in U(g), the reference for the quotient
-descent of ``blvoa.zero_weight.generate_module``.  No src code calls it;
-the tests check R = V(2n eps_1) on it (criterion 2), and compare the
-quotient descent against it."""
+"""The oracle descents that ``blvoa.zero_weight.generate_module`` replaced,
+kept as its references: the whole module R in U(g), and the weights
+mu >= 0 of R in U(g)/n_-U(g).  No src code calls them; the tests check
+R = V(2n eps_1) on the first (criterion 2), and compare the word path's
+R_0 and P_0 against both."""
+
+import itertools
 
 from blvoa.rootsys import Weight, harmonic_multiplicities
 from blvoa.uea import UEA, UEAElement
@@ -13,13 +16,16 @@ from blvoa.zero_weight import (
 )
 
 
-def generate_whole_module(
-    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
+def _descend(
+    engine: UEA, n: int, ceiling: int, modulo_nminus: bool
 ) -> AdModuleBasis:
-    """All of R in U(g), by descent from the singular image v under
-    ad(f_i) alone, each row carrying its weight.  Every weight of
-    V(2n eps_1) is a target, so the ceiling counts weyl_dim(2n eps_1)
-    vectors; each space must close at its multiplicity."""
+    """Descend from the singular image v under ad(f_i) alone, each row
+    carrying its weight, lowered by alpha_i per step.  The targets are the
+    weight multiplicities of V(2n eps_1), checked against its Weyl
+    dimension; modulo n_-U(g) they are kept at the weights mu >= 0 (every
+    partial sum of the eps-coordinates >= 0) and each step is -x·f_i in
+    the quotient.  A full space is skipped, the ceiling counts the targets
+    before any work, and every space must close at its target."""
     lie = engine.lie
     l = lie.rank
     simple = lie.rootsys.simple_roots
@@ -30,6 +36,10 @@ def generate_whole_module(
             f"weight multiplicities of V({2 * n} eps_1) do not sum to its"
             " Weyl dimension"
         )
+    if modulo_nminus:
+        targets = {
+            mu: m for mu, m in targets.items() if min(itertools.accumulate(mu)) >= 0
+        }
     total = sum(targets.values())
     if total > ceiling:
         raise OracleCeilingExceeded(
@@ -44,23 +54,46 @@ def generate_whole_module(
     for x, w in queue:
         for f, step in lowering:
             mu = tuple(c + d for c, d in zip(w, step))
-            if basis.dim_at(mu) >= targets.get(mu, 0):
+            if dim_at(basis, mu) >= targets.get(mu, 0):
                 continue
-            u = engine.ad(f, x)
+            u = engine.ad(f, x, modulo_nminus=modulo_nminus)
             if u.is_zero():
                 continue
             row = basis.space(mu).insert(u.terms)
             if row is not None:
                 queue.append((UEAElement(engine, row), mu))
     for mu, target in targets.items():
-        if basis.dim_at(mu) != target:
+        if dim_at(basis, mu) != target:
             raise RuntimeError(
-                f"weight space {mu} closed at dimension {basis.dim_at(mu)},"
+                f"weight space {mu} closed at dimension {dim_at(basis, mu)},"
                 f" target {target}"
             )
     return basis
 
 
+def generate_whole_module(
+    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
+) -> AdModuleBasis:
+    """All of R in U(g).  Every weight of V(2n eps_1) is a target, so the
+    ceiling counts weyl_dim(2n eps_1) vectors."""
+    return _descend(engine, n, ceiling, modulo_nminus=False)
+
+
+def generate_nonnegative_module(
+    engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
+) -> AdModuleBasis:
+    """The weights mu >= 0 of R in U(g)/n_-U(g): each R_mu there is spanned
+    by the f_i R_{mu + alpha_i} with mu + alpha_i >= 0, so the descent
+    builds no other weight, and its zero-weight rows project R_0."""
+    return _descend(engine, n, ceiling, modulo_nminus=True)
+
+
+def dim_at(module: AdModuleBasis, eps: tuple[int, ...]) -> int:
+    """The dimension of the weight space at eps (integer eps-coordinates)."""
+    space = module.spaces.get(eps)
+    return space.dim if space else 0
+
+
 def dim_zero(module: AdModuleBasis) -> int:
     """The dimension of the zero-weight space R_0."""
-    return module.dim_at((0,) * module.rank)
+    return dim_at(module, (0,) * module.rank)

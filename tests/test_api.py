@@ -83,6 +83,9 @@ MOVED_METHODS = [
     ("blvoa.liealg", "LieAlgebra", "chevalley_generators"),
     ("blvoa.rootsys", "RootSystem", "fundamental_weight"),
     ("blvoa.zero_weight", "AdModuleBasis", "dim_zero"),
+    ("blvoa.zero_weight", "AdModuleBasis", "dim_at"),
+    ("blvoa.affine", "AffineRealRoot", "coroot_vector"),
+    ("blvoa.uea", "CartanPolynomial", "evaluate_weight"),
 ]
 
 

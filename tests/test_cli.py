@@ -199,19 +199,29 @@ def test_identities_rejects_n_below_1(capsys, n):
 
 
 def test_oracle_ceiling_exits_2(capsys):
-    code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--oracle-ceiling", "5")
+    code, _, err = run(capsys, "p0", "--rank", "2", "--n", "1", "--oracle-ceiling", "3")
     assert code == 2
 
 
-# the ceiling bounds the vectors the descent builds: at (2, 1), the 8 of
-# V(2 eps_1) at the weights >= 0
-@pytest.mark.parametrize("ceiling,code", [("8", 0), ("7", 2)])
+# the ceiling bounds the vectors the oracle words build: at (2, 1), one per
+# distinct prefix of f_{eps_1}^2 and f_{eps_1+eps_2} f_{eps_1-eps_2}, 4 in all
+@pytest.mark.parametrize("ceiling,code", [("4", 0), ("3", 2)])
 def test_oracle_ceiling_counts_the_pruned_descent(capsys, ceiling, code):
     got, _, err = run(
         capsys, "p0", "--rank", "2", "--n", "1", "--oracle-ceiling", ceiling
     )
     assert got == code
-    assert ("8 vectors" in err) == (code == 2)
+    assert ("oracle words build 4 vectors, over ceiling 3" in err) == (code == 2)
+
+
+# (5, 3) was out of reach of the descent through the weights >= 0 (2,695
+# vectors, over the default ceiling); the 35 words build 160
+def test_p0_compare_reaches_rank5_n3(capsys):
+    code, out, err = run(
+        capsys, "p0", "--rank", "5", "--n", "3", "--compare", "--json"
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "dim=35,member=true,equal=false"
 
 
 def test_inconsistency_exits_3(capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """The printed P0 pinned byte for byte: exit code, stdout and stderr of
 ``p0`` at small (rank, n), of ``p0 --compare`` at n <= 2, and of ``p0`` at
-(3, 3) and (5, 2), where the descent's quotient by n_-U(g) drops the most,
+(3, 3) and (5, 2), where the quotient by n_-U(g) drops the most,
 each as text and ``--json``, against ``p0_golden.json``.
 
 The file is recorded with ``PYTHONPATH=src python tests/test_p0_golden.py``

@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import get_engine, get_lie, reduce_mod_nminus
-from oracle_reference import dim_zero, generate_whole_module
-from uea_reference import poly_in_span
+from oracle_reference import (
+    dim_zero,
+    generate_nonnegative_module,
+    generate_whole_module,
+)
+from uea_reference import evaluate_weight, poly_in_span
 
 from blvoa.rootsys import (
     Root,
@@ -116,7 +120,7 @@ def _is_nonnegative(mu):
 def test_pruned_descent_matches_the_full_module(l, n):
     eng = get_engine(l)
     full = generate_whole_module(eng, n)
-    pruned = generate_module(eng, n)
+    pruned = generate_nonnegative_module(eng, n)
     assert pruned.spaces.keys() == {w for w in full.spaces if _is_nonnegative(w)}
     for w, space in pruned.spaces.items():
         assert space.dim > 0
@@ -144,7 +148,7 @@ def _descent_step_in_ug(eng):
     return step
 
 
-# the descent's step -x·f_i in U(g)/n_-U(g) against ad(f_i)·x in U(g) with
+# the word path's step -x·f in U(g)/n_-U(g) against ad(f)·x in U(g) with
 # n_-U(g) dropped after it: the same rows in every weight space
 @pytest.mark.parametrize(
     "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]
@@ -163,7 +167,7 @@ def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
 # multiplicity in V(2n eps_1), so the projection is injective there
 @pytest.mark.parametrize("l,n", [(4, 2), (2, 4), (3, 3)])
 def test_quotient_descent_closes_every_space_at_its_target(l, n):
-    module = generate_module(get_engine(l), n)
+    module = generate_nonnegative_module(get_engine(l), n)
     want = {
         mu: m
         for mu, m in harmonic_multiplicities(l, 2 * n).items()
@@ -210,7 +214,7 @@ def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
 def test_oracle_ceiling():
     eng = get_engine(2)
     with pytest.raises(OracleCeilingExceeded):
-        generate_module(eng, 1, ceiling=5)
+        generate_module(eng, 1, ceiling=3)
 
 
 # the ceiling bounds the vectors the descent builds, checked before any
@@ -221,7 +225,49 @@ def test_oracle_ceiling_counts_the_descent_targets():
     with pytest.raises(OracleCeilingExceeded, match="2508 vectors"):
         generate_whole_module(eng, 3)
     with pytest.raises(OracleCeilingExceeded, match="1000 vectors"):
-        generate_module(eng, 3, ceiling=999)
+        generate_nonnegative_module(eng, 3, ceiling=999)
+
+
+# the word path builds one vector per distinct prefix of its words, counted
+# before any work: 4 at (2, 1) (f_{eps_1}, f_{eps_1}^2, f_{eps_1+eps_2} and
+# f_{eps_1+eps_2} f_{eps_1-eps_2}), 94 for the 20 words at (4, 3)
+@pytest.mark.parametrize("l,n,count", [(2, 1, 4), (4, 3, 94)])
+def test_oracle_ceiling_counts_the_word_prefixes(l, n, count, monkeypatch):
+    eng = get_engine(l)
+    monkeypatch.setattr(
+        "blvoa.zero_weight.singular_image",
+        lambda *a: pytest.fail("work started before the ceiling check"),
+    )
+    with pytest.raises(OracleCeilingExceeded, match=f"words build {count} vectors"):
+        generate_module(eng, n, ceiling=count - 1)
+
+
+# the word path against both descents it replaced: the same R_0 rows as the
+# descent through the weights mu >= 0, and the same P_0 as that descent and
+# as the whole module R in U(g); the whole module is skipped at (3, 3),
+# where it takes about 13 s
+@pytest.mark.parametrize(
+    "l,n",
+    [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3)],
+)
+def test_word_path_matches_the_reference_descents(l, n):
+    eng = get_engine(l)
+    words = generate_module(eng, n)
+    descent = generate_nonnegative_module(eng, n)
+    zero = (0,) * l
+    assert words.spaces.keys() == {zero}
+    assert words.dim == dim_zero(descent) == math.comb(n + l - 1, l - 1)
+    assert words.zero_weight_rows() == descent.zero_weight_rows()
+
+    def p0(module):
+        return poly_echelon(
+            eng.hw_polynomial(UEAElement(eng, row)) for row in module.zero_weight_rows()
+        )
+
+    basis = p0_basis(eng, n)
+    assert basis == p0(descent)
+    if (l, n) != (3, 3):
+        assert basis == p0(generate_whole_module(eng, n))
 
 
 def test_p0_basis_rank2():
@@ -278,7 +324,7 @@ def test_explicit_q_vanishes_on_classified_weights():
     lie = get_lie(2)
     q = explicit_q(lie, 1)
     for coords in ([0, 0], [0, 1], [Fraction(-1, 2), 0], [Fraction(-3, 2), 1]):
-        assert q.evaluate_weight(weight_from_fundamental(coords)) == 0
+        assert evaluate_weight(q, weight_from_fundamental(coords)) == 0
 
 
 @pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (2, 2)])
@@ -306,7 +352,7 @@ def test_oracle_polys_vanish_at_origin():
     for l in (2, 3):
         basis = p0_basis(get_engine(l), 1)
         zero = Weight([0] * l)
-        assert all(p.evaluate_weight(zero) == 0 for p in basis)
+        assert all(evaluate_weight(p, zero) == 0 for p in basis)
 
 
 def test_span_comparison_at_n2_is_reported_not_assumed():

@@ -1,11 +1,12 @@
 """Companions of the rewriting identities and small helpers that no src
 code calls: adjoint words and the multinomial adjoint power in U(g), the
-commuting-monomial check, span membership of Cartan polynomials, the U(g)
-image of a mode -1 vacuum-module vector and the Chevalley generators.  The
-tests check the engine against them."""
+commuting-monomial check, a Cartan polynomial at a weight, span membership
+of Cartan polynomials, the U(g) image of a mode -1 vacuum-module vector and
+the Chevalley generators.  The tests check the engine against them."""
 
 import functools
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from blvoa.affine import VermaVector
@@ -68,6 +69,11 @@ def check_commuting_monomials(
     sign = (-1) ** len(gammas)
     lhs2 = ad_word(engine, f_letters, y1)
     return engine.reduce_mod_nplus(lhs2 - sign * prod).is_zero()
+
+
+def evaluate_weight(p: CartanPolynomial, mu: Weight) -> Fraction:
+    """p at the weight mu, through its fundamental coordinates."""
+    return p.evaluate(mu.fundamental())
 
 
 def poly_in_span(p: CartanPolynomial, polys: Iterable[CartanPolynomial]) -> bool:
