@@ -36,7 +36,6 @@ from .affine import (
     level_of,
 )
 from .zero_weight import (
-    AdModuleBasis,
     OracleCeilingExceeded,
     explicit_p,
     explicit_q,

@@ -50,9 +50,6 @@ class Weight:
         vals.append(2 * mu[l - 1])
         return tuple(vals)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.eps)
-
     def __add__(self, other: "Weight") -> "Weight":
         _check_rank(self, other)
         return Weight(a + b for a, b in zip(self.eps, other.eps))

@@ -5,9 +5,11 @@ basis order of :class:`~blvoa.liealg.LieAlgebra`: lowering vectors first,
 then Cartan, then raising vectors.  With that order a monomial lies in
 U(g)n_+ exactly when its raising block is nonempty, and in n_-U(g) exactly
 when its first letter is lowering, so reduction modulo U(g)n_+ is a
-syntactic filter, U(g)/n_-U(g) has the monomials with no lowering letter
-as its basis, and the eigenvalue of a zero-weight element on a
-highest-weight vector is read off from its pure-Cartan part.
+syntactic filter, and U(g)/n_-U(g) has the monomials with no lowering
+letter as its basis.  A zero-weight monomial with no lowering letter has
+no raising letter either, so a zero-weight element of that quotient is a
+polynomial in h_1..h_l: the Harish-Chandra projection, the pure-Cartan
+part of the normal form, is the identity there.
 
 Normalization inserts one letter at a time into a normal-ordered monomial,
 commuting it past each smaller letter through the integer bracket table,
@@ -442,24 +444,6 @@ class UEA:
 
         w = _common_grading(map(mono_weight, r.terms), zero)
         return w if w == MIXED else Weight(w)
-
-    def hw_polynomial(self, r: UEAElement) -> "CartanPolynomial":
-        """Eigenvalue polynomial of a zero-weight element on highest-weight
-        vectors: the pure-Cartan part of the PBW normal form."""
-        w = self.weight_of(r)
-        if w == MIXED or not w.is_zero():
-            raise ValueError("element does not have weight zero")
-        l = self.lie.rank
-        coeffs: dict[tuple[int, ...], Rat] = {}
-        for mono, c in r.terms.items():
-            # a zero-weight monomial with a lowering letter has a raising one
-            if any(idx >= self.e_start for idx, _ in mono):
-                continue
-            exps = [0] * l
-            for idx, p in mono:
-                exps[idx - self.h_start] = p
-            coeffs[tuple(exps)] = c
-        return CartanPolynomial(l, coeffs)
 
 
 def _common_grading(gradings: Iterable, default):

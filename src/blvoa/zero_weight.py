@@ -23,10 +23,13 @@ commuting letters with the sign (-1)^{2n} = 1; no n_-U(g) term is built.
 The letters commute, so their order sets only the cost: the plus letters
 first and the minus letters last feed 2-3 times fewer terms to ad than
 the reverse order.
+At weight 0 the projection is the identity on the quotient: a monomial
+there has no lowering letter, so it has no raising letter either, and
+each v·F_k already is a polynomial in h_1..h_l.
 Three checks guard the result: every ad(e_i) kills v, the weight
 multiplicities of V(2n eps_1) sum to its Weyl dimension, and the words
-reach the full rank of R_0, so they are a basis and the projection is
-injective on R_0.  The explicit closed-form polynomials are transcribed
+reach the full rank of R_0, so they are a basis and R_0 maps injectively
+into the quotient.  The explicit closed-form polynomials are transcribed
 independently so membership can be cross-checked.
 """
 
@@ -42,11 +45,10 @@ from .uea import (
     UEA,
     CartanPolynomial,
     Echelon,
-    Monomial,
     UEAElement,
     falling,
+    grlex,
     h_alpha_poly,
-    poly_echelon,
 )
 
 DEFAULT_DIM_CEILING = 2000
@@ -66,28 +68,6 @@ def singular_image(engine: UEA, n: int) -> UEAElement:
             engine.e(eps_root(l, 1, j, -1)), engine.e(eps_root(l, 1, j, 1))
         )
     return engine.power(base, n)
-
-
-class AdModuleBasis:
-    """Echelonized basis of the adjoint module, grouped by finite weight
-    (integer eps-coordinates)."""
-
-    def __init__(self, rank: int):
-        self.rank = rank
-        self.spaces: dict[tuple[int, ...], Echelon] = {}
-
-    def space(self, eps: tuple[int, ...]) -> Echelon:
-        if eps not in self.spaces:
-            self.spaces[eps] = Echelon()
-        return self.spaces[eps]
-
-    @property
-    def dim(self) -> int:
-        return sum(s.dim for s in self.spaces.values())
-
-    def zero_weight_rows(self) -> list[dict[Monomial, Fraction]]:
-        space = self.spaces.get((0,) * self.rank)
-        return space.rows() if space else []
 
 
 def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
@@ -117,21 +97,19 @@ def _words(l: int, n: int) -> list[tuple[Root, ...]]:
 
 def generate_module(
     engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
-) -> AdModuleBasis:
-    """R_0 in the right module U(g)/n_-U(g), echelonized from the vectors
-    ad(F_k)·v, v the singular image in integers and F_k the words of
-    S(u_-), one per composition k of n into l parts (``_words``).
+) -> Echelon:
+    """R_0 as one grlex echelon of Cartan polynomials, one per vector
+    ad(F_k)·v = v·F_k in U(g)/n_-U(g), v the singular image in integers
+    and F_k the words of S(u_-) (``_words``), each distinct prefix
+    computed once.  Each monomial of v·F_k is filed as the exponent tuple
+    of its h letters; any other letter raises RuntimeError.
 
-    Each letter is one step ad(f)·x = -x·f in the quotient (f·x lies in
-    the right ideal n_-U(g)), so there ad(F_k)·v is v·F_k.  The letters
-    commute, so the order ``_words`` applies them in sets only the cost,
-    and each distinct prefix of the words is computed once.
     OracleCeilingExceeded is raised before any work when the prefixes
-    number more than the ceiling.  Three checks guard the result: every
-    ad(e_i) kills v, the weight multiplicities of V(2n eps_1) sum to its
-    Weyl dimension, and R_0 closes at the multiplicity of the weight 0
-    there, C(n+l-1, l-1).  A failure of any signals a structure-constant
-    bug or a projection that is not injective, and raises.
+    number more than the ceiling.  Three checks raise RuntimeError: the
+    weight multiplicities of V(2n eps_1) sum to its Weyl dimension (two
+    closed forms in rootsys, no engine output), every ad(e_i) kills v (a
+    wrong structure constant or singular image), and R_0 closes at the
+    multiplicity of 0 there, C(n+l-1, l-1) (a wrong word or step).
     """
     lie = engine.lie
     l = lie.rank
@@ -155,30 +133,35 @@ def generate_module(
     built = {(): v}
     for p in prefixes:
         built[p] = engine.ad(engine.f(p[-1]), built[p[:-1]], modulo_nminus=True)
-    basis = AdModuleBasis(l)
-    zero = (0,) * l
-    r0 = basis.space(zero)
+    r0 = Echelon(order=grlex)
     for word in words:
-        r0.insert(built[word].terms)
+        poly = {}
+        for mono, c in built[word].terms.items():
+            exps = [0] * l
+            for idx, power in mono:
+                if not engine.h_start <= idx < engine.e_start:
+                    raise RuntimeError(
+                        f"word result has the letter {lie.basis[idx]} outside the Cartan"
+                    )
+                exps[idx - engine.h_start] = power
+            poly[tuple(exps)] = c
+        r0.insert(poly)
+    zero = (0,) * l
     if r0.dim != targets[zero]:
         raise RuntimeError(
             f"weight space {zero} closed at dimension {r0.dim},"
             f" target {targets[zero]}"
         )
-    return basis
+    return r0
 
 
 def p0_basis(
     engine: UEA, n: int, ceiling: int = DEFAULT_DIM_CEILING
 ) -> list[CartanPolynomial]:
     """Canonical basis of the highest-weight polynomials of the zero-weight
-    space, computed from the words of the oracle module modulo n_-U(g)."""
-    module = generate_module(engine, n, ceiling)
-    polys = [
-        engine.hw_polynomial(UEAElement(engine, row))
-        for row in module.zero_weight_rows()
-    ]
-    return poly_echelon(polys)
+    space: the reduced grlex rows of ``generate_module``."""
+    rows = generate_module(engine, n, ceiling).rows()
+    return [CartanPolynomial(engine.lie.rank, row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

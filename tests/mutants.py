@@ -12,7 +12,7 @@ Each mutant is applied to a fresh temporary copy of src (with tests,
 perfbench and pyproject.toml beside it, as the tests read them); its tests
 run there, and a mutant survives when they all pass.  The run prints each
 mutant as killed or SURVIVED with its time, and exits 1 if any survived;
-the full run (thirteen mutants) takes about 14 s on a 2-CPU x86-64 machine.
+the full run (fifteen mutants) takes about 23 s on a 2-CPU x86-64 machine.
 Standard library only.
 """
 
@@ -139,6 +139,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "minus = [eps_root(l, 1, j, -1) for j in range(2, l + 1)]",
         "minus = [eps_root(l, 1, j, 1) for j in range(2, l + 1)]",
         (WORD_PATH,),
+    ),
+    Mutant(
+        "R_0 exponent filed under the wrong h",
+        "src/blvoa/zero_weight.py",
+        "exps[idx - engine.h_start] = power",
+        "exps[idx - engine.h_start - 1] = power",
+        (WORD_PATH, "tests/test_p0_golden.py::test_p0_output_matches_golden"),
+    ),
+    Mutant(
+        "R_0 letters outside the Cartan let through",
+        "src/blvoa/zero_weight.py",
+        "if not engine.h_start <= idx < engine.e_start:",
+        "if False:",
+        ("tests/test_zero_weight.py::test_word_result_outside_the_cartan_is_named",),
     ),
     Mutant(
         "R_0 rank check dropped",

@@ -1,19 +1,42 @@
 """The oracle descents that ``blvoa.zero_weight.generate_module`` replaced,
 kept as its references: the whole module R in U(g), and the weights
-mu >= 0 of R in U(g)/n_-U(g).  No src code calls them; the tests check
-R = V(2n eps_1) on the first (criterion 2), and compare the word path's
-R_0 and P_0 against both."""
+mu >= 0 of R in U(g)/n_-U(g), each an ``AdModuleBasis`` of one echelon
+per weight.  No src code calls them; the tests check R = V(2n eps_1) on
+the first (criterion 2), and compare the word path's R_0 and P_0 against
+both."""
 
 import itertools
+from fractions import Fraction
 
 from blvoa.rootsys import Weight, harmonic_multiplicities
-from blvoa.uea import UEA, UEAElement
+from blvoa.uea import UEA, Echelon, Monomial, UEAElement
 from blvoa.zero_weight import (
     DEFAULT_DIM_CEILING,
-    AdModuleBasis,
     OracleCeilingExceeded,
     singular_image,
 )
+
+
+class AdModuleBasis:
+    """Echelonized basis of the adjoint module, grouped by finite weight
+    (integer eps-coordinates)."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.spaces: dict[tuple[int, ...], Echelon] = {}
+
+    def space(self, eps: tuple[int, ...]) -> Echelon:
+        if eps not in self.spaces:
+            self.spaces[eps] = Echelon()
+        return self.spaces[eps]
+
+    @property
+    def dim(self) -> int:
+        return sum(s.dim for s in self.spaces.values())
+
+    def zero_weight_rows(self) -> list[dict[Monomial, Fraction]]:
+        space = self.spaces.get((0,) * self.rank)
+        return space.rows() if space else []
 
 
 def _descend(

@@ -16,10 +16,10 @@ them entered, as ``module.qualified-name``, and exits 0.  A function
 listed there is test-only or dead unless it is a constructor, a dunder
 method, a property or a documented library boundary.
 
-The run takes about 15 s on a 2-CPU x86-64 machine and prints
+The run takes about 17 s on a 2-CPU x86-64 machine and prints
 
     130 distinct argv (54 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
-    never entered: 26 of 189 functions
+    never entered: 28 of 183 functions
       affine.VermaVector._space
       affine.VermaVector.level
       affine.VermaVector.__repr__
@@ -42,14 +42,17 @@ The run takes about 15 s on a 2-CPU x86-64 machine and prints
       uea.UEA.zero
       uea.UEA.h
       uea.UEA.element
+      uea.UEA.weight_of
+      uea.UEA.weight_of.<locals>.mono_weight
+      uea._common_grading
       uea._powers
       uea.CartanPolynomial.__rsub__
       uea.CartanPolynomial.evaluate
-      zero_weight.AdModuleBasis.dim
 
 Of these, cli.console_main is the installed ``blvoa`` command,
 CartanPolynomial.evaluate (with its helper _powers) is a README boundary,
-and AdModuleBasis.dim is read by perfbench/tracer.py.
+and UEA.weight_of (with mono_weight and _common_grading) has no caller in
+src: it stays because perfbench/tracer.py binds it by name.
 
 Standard library only; pytest runs in the child, as for tests/mutants.py.
 """

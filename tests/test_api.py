@@ -8,7 +8,6 @@ import pytest
 import blvoa
 
 EXPORTS = [
-    "AdModuleBasis",
     "AdmissibilityResult",
     "AffineRealRoot",
     "AffineWeight",
@@ -75,6 +74,7 @@ MOVED = [
     ("blvoa.uea", "poly_in_span"),
     ("blvoa.uea", "_compositions"),
     ("blvoa.affine", "fz_image"),
+    ("blvoa.zero_weight", "AdModuleBasis"),
 ]
 
 MOVED_METHODS = [
@@ -82,10 +82,10 @@ MOVED_METHODS = [
     ("blvoa.uea", "UEA", "ad_power_multinomial"),
     ("blvoa.liealg", "LieAlgebra", "chevalley_generators"),
     ("blvoa.rootsys", "RootSystem", "fundamental_weight"),
-    ("blvoa.zero_weight", "AdModuleBasis", "dim_zero"),
-    ("blvoa.zero_weight", "AdModuleBasis", "dim_at"),
+    ("blvoa.rootsys", "Weight", "is_zero"),
     ("blvoa.affine", "AffineRealRoot", "coroot_vector"),
     ("blvoa.uea", "CartanPolynomial", "evaluate_weight"),
+    ("blvoa.uea", "UEA", "hw_polynomial"),
 ]
 
 

@@ -14,6 +14,7 @@ from uea_reference import (
     ad_power_multinomial,
     check_commuting_monomials,
     evaluate_weight,
+    hw_polynomial,
     poly_in_span,
 )
 
@@ -61,7 +62,7 @@ def test_square_product_cartan_part():
     eps1 = Root([1, 0])
     prod = eng.multiply(eng.e(eps1, 2), eng.f(eps1, 2))
     h = h_alpha_poly(eng.lie, eps1)
-    assert eng.hw_polynomial(prod) == 2 * h * h - 2 * h
+    assert hw_polynomial(eng, prod) == 2 * h * h - 2 * h
 
 
 def _random_element(eng, rng, max_monos=2, max_deg=2):
@@ -360,13 +361,13 @@ def test_weight_of():
 def test_hw_polynomial_examples():
     eng = get_engine(2)
     eps1 = Root([1, 0])
-    assert eng.hw_polynomial(eng.h(1)) == CartanPolynomial.variable(2, 1)
+    assert hw_polynomial(eng, eng.h(1)) == CartanPolynomial.variable(2, 1)
     ef = eng.multiply(eng.e(eps1), eng.f(eps1))
-    assert eng.hw_polynomial(ef) == h_alpha_poly(eng.lie, eps1)
+    assert hw_polynomial(eng, ef) == h_alpha_poly(eng.lie, eps1)
     fe = eng.multiply(eng.f(eps1), eng.e(eps1))
-    assert eng.hw_polynomial(fe).is_zero()
+    assert hw_polynomial(eng, fe).is_zero()
     with pytest.raises(ValueError):
-        eng.hw_polynomial(eng.e(eps1))
+        hw_polynomial(eng, eng.e(eps1))
 
 
 def test_hw_polynomial_multiplicative_in_cartan():
@@ -374,7 +375,7 @@ def test_hw_polynomial_multiplicative_in_cartan():
     eps1 = Root([1, 0])
     r = eng.multiply(eng.e(eps1), eng.f(eps1))
     hr = eng.multiply(eng.h(1), r)
-    assert eng.hw_polynomial(hr) == CartanPolynomial.variable(2, 1) * eng.hw_polynomial(r)
+    assert hw_polynomial(eng, hr) == CartanPolynomial.variable(2, 1) * hw_polynomial(eng, r)
 
 
 def test_hw_polynomial_vanishes_on_left_ideal_elements():
@@ -386,7 +387,7 @@ def test_hw_polynomial_vanishes_on_left_ideal_elements():
         eng.multiply(eng.f(eps1), eng.e(eps1)),
         eng.multiply(eng.multiply(eng.f(theta), eng.h(2)), eng.e(theta)),
     ):
-        assert eng.hw_polynomial(u).is_zero()
+        assert hw_polynomial(eng, u).is_zero()
 
 
 def test_term_guard_trips():
@@ -938,10 +939,8 @@ def test_oracle_matches_the_reduced_rational_echelon(l, n, monkeypatch):
     basis = p0_basis(eng, n)
     monkeypatch.setattr(blvoa.zero_weight, "Echelon", _ReducedEchelon)
     reference = generate_module(eng, n)
-    assert all(type(s) is _ReducedEchelon for s in reference.spaces.values())
-    assert module.spaces.keys() == reference.spaces.keys()
-    for w, space in module.spaces.items():
-        assert space.rows() == reference.spaces[w].rows()
+    assert type(reference) is _ReducedEchelon
+    assert module.rows() == reference.rows()
     assert p0_basis(eng, n) == basis
 
 

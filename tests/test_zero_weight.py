@@ -2,17 +2,19 @@
 and the explicit closed-form polynomials."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import get_engine, get_lie, reduce_mod_nminus
 from oracle_reference import (
+    AdModuleBasis,
     dim_zero,
     generate_nonnegative_module,
     generate_whole_module,
 )
-from uea_reference import evaluate_weight, poly_in_span
+from uea_reference import evaluate_weight, hw_polynomial, poly_in_span
 
 from blvoa.rootsys import (
     Root,
@@ -29,7 +31,6 @@ from blvoa.uea import (
     spans_equal,
 )
 from blvoa.zero_weight import (
-    AdModuleBasis,
     OracleCeilingExceeded,
     explicit_p,
     explicit_polys,
@@ -131,7 +132,7 @@ def test_pruned_descent_matches_the_full_module(l, n):
             quotient.insert(reduce_mod_nminus(eng, UEAElement(eng, row)).terms)
         assert space.rows() == quotient.rows()
     from_full = poly_echelon(
-        eng.hw_polynomial(UEAElement(eng, row)) for row in full.zero_weight_rows()
+        hw_polynomial(eng, UEAElement(eng, row)) for row in full.zero_weight_rows()
     )
     assert p0_basis(eng, n) == from_full
 
@@ -149,7 +150,7 @@ def _descent_step_in_ug(eng):
 
 
 # the word path's step -x·f in U(g)/n_-U(g) against ad(f)·x in U(g) with
-# n_-U(g) dropped after it: the same rows in every weight space
+# n_-U(g) dropped after it: the same R_0 rows
 @pytest.mark.parametrize(
     "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]
 )
@@ -157,10 +158,7 @@ def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
     module = generate_module(UEA(get_lie(l)), n)
     eng = UEA(get_lie(l))
     monkeypatch.setattr(eng, "ad", _descent_step_in_ug(eng))
-    reference = generate_module(eng, n)
-    assert module.spaces.keys() == reference.spaces.keys()
-    for mu, space in module.spaces.items():
-        assert space.rows() == reference.spaces[mu].rows()
+    assert module.rows() == generate_module(eng, n).rows()
 
 
 # where the quotient drops the most: each space mu >= 0 still closes at its
@@ -211,6 +209,24 @@ def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
         generate_module(eng, 1)
 
 
+# a word result must be a Cartan polynomial: a raising or a lowering letter
+# in it is an engine fault, which raises and names the letter
+@pytest.mark.parametrize("kind,name", [("e", "e(e1-e2)"), ("f", "f(e1-e2)")])
+def test_word_result_outside_the_cartan_is_named(kind, name, monkeypatch):
+    eng = UEA(get_lie(2))
+    alpha = eng.lie.rootsys.simple_roots[0]
+    ad = UEA.ad
+
+    def leaky(engine, x, y, modulo_nminus=False):
+        if modulo_nminus:
+            return getattr(engine, kind)(alpha)
+        return ad(engine, x, y)
+
+    monkeypatch.setattr(UEA, "ad", leaky)
+    with pytest.raises(RuntimeError, match=rf"letter {re.escape(name)} outside"):
+        generate_module(eng, 1)
+
+
 def test_oracle_ceiling():
     eng = get_engine(2)
     with pytest.raises(OracleCeilingExceeded):
@@ -242,10 +258,12 @@ def test_oracle_ceiling_counts_the_word_prefixes(l, n, count, monkeypatch):
         generate_module(eng, n, ceiling=count - 1)
 
 
-# the word path against both descents it replaced: the same R_0 rows as the
-# descent through the weights mu >= 0, and the same P_0 as that descent and
-# as the whole module R in U(g); the whole module is skipped at (3, 3),
-# where it takes about 13 s
+# the word path against both descents it replaced: the same R_0 as the
+# descent through the weights mu >= 0, and the same P_0 as the whole module
+# R in U(g); the whole module is skipped at (3, 3), where it takes about
+# 13 s.  In the quotient a weight-0 row is its polynomial (no monomial is
+# dropped), so the descent's R_0 rows, mapped to polynomials, must give
+# the word path's rows.
 @pytest.mark.parametrize(
     "l,n",
     [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3)],
@@ -254,20 +272,18 @@ def test_word_path_matches_the_reference_descents(l, n):
     eng = get_engine(l)
     words = generate_module(eng, n)
     descent = generate_nonnegative_module(eng, n)
-    zero = (0,) * l
-    assert words.spaces.keys() == {zero}
     assert words.dim == dim_zero(descent) == math.comb(n + l - 1, l - 1)
-    assert words.zero_weight_rows() == descent.zero_weight_rows()
-
-    def p0(module):
-        return poly_echelon(
-            eng.hw_polynomial(UEAElement(eng, row)) for row in module.zero_weight_rows()
-        )
-
+    rows = descent.zero_weight_rows()
+    polys = [hw_polynomial(eng, UEAElement(eng, row)) for row in rows]
+    assert [len(p.terms) for p in polys] == [len(row) for row in rows]
     basis = p0_basis(eng, n)
-    assert basis == p0(descent)
+    assert basis == poly_echelon(polys)
+    assert basis == [CartanPolynomial(l, row) for row in words.rows()]
     if (l, n) != (3, 3):
-        assert basis == p0(generate_whole_module(eng, n))
+        assert basis == poly_echelon(
+            hw_polynomial(eng, UEAElement(eng, row))
+            for row in generate_whole_module(eng, n).zero_weight_rows()
+        )
 
 
 def test_p0_basis_rank2():

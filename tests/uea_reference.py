@@ -1,7 +1,8 @@
 """Companions of the rewriting identities and small helpers that no src
 code calls: adjoint words and the multinomial adjoint power in U(g), the
 commuting-monomial check, a Cartan polynomial at a weight, span membership
-of Cartan polynomials, the U(g) image of a mode -1 vacuum-module vector and
+of Cartan polynomials, the pure-Cartan part of a zero-weight element of
+U(g), the U(g) image of a mode -1 vacuum-module vector and
 the Chevalley generators.  The tests check the engine against them."""
 
 import functools
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence
 from blvoa.affine import VermaVector
 from blvoa.liealg import BasisElement, LieAlgebra
 from blvoa.rootsys import Root, Weight
-from blvoa.uea import UEA, CartanPolynomial, Echelon, UEAElement
+from blvoa.uea import MIXED, UEA, CartanPolynomial, Echelon, Rat, UEAElement
 from blvoa.zero_weight import _compositions
 
 
@@ -82,6 +83,26 @@ def poly_in_span(p: CartanPolynomial, polys: Iterable[CartanPolynomial]) -> bool
     for q in polys:
         span.insert(q.terms)
     return not span.reduce(p.terms)
+
+
+def hw_polynomial(engine: UEA, r: UEAElement) -> CartanPolynomial:
+    """Eigenvalue polynomial of a zero-weight element on highest-weight
+    vectors: the pure-Cartan part of the PBW normal form (the Harish-Chandra
+    projection)."""
+    w = engine.weight_of(r)
+    if w == MIXED or any(w.eps):
+        raise ValueError("element does not have weight zero")
+    l = engine.lie.rank
+    coeffs: dict[tuple[int, ...], Rat] = {}
+    for mono, c in r.terms.items():
+        # a zero-weight monomial with a lowering letter has a raising one
+        if any(idx >= engine.e_start for idx, _ in mono):
+            continue
+        exps = [0] * l
+        for idx, p in mono:
+            exps[idx - engine.h_start] = p
+        coeffs[tuple(exps)] = c
+    return CartanPolynomial(l, coeffs)
 
 
 def fz_image(v: VermaVector, engine: UEA) -> UEAElement:
