@@ -19,12 +19,14 @@ adjoint action of a letter x on a monomial head·rest follows the Leibniz
 rule [x, head·rest] = head·[x, rest] + [x, head]·rest, memoized on
 (monomial, letter) in the same table, so it never builds x·m or m·x.  On
 the right module U(g)/n_-U(g), ad(f)·y is -y·f, as f·y lies in n_-U(g).
-There a monomial is H·E with H in U(h) and E in U(n_+), and H·E·x is
-H·(E·x): a letter is inserted into E from the right by rest·last·x =
-(rest·x)·last + rest·[last, x], memoized on (E, letter, None), and a
-lowering letter that reaches the empty front gives 0, so no n_-U(g) term
-is ever built.  A configurable term-count guard bounds each insertion,
-each bracket and each monomial product.
+By PBW that quotient is the free left U(h)-module on the raising
+monomials E, so an element is a map E -> p_E(h), and y·x acts on E alone:
+E·x is inserted from the right by rest·last·x = (rest·x)·last +
+rest·[last, x], memoized on (E, letter, None), a lowering letter that
+reaches the empty front gives 0, and the h letters of each term of E·x
+multiply p_E; no n_-U(g) term is ever built.  A configurable term-count
+guard bounds each insertion, each bracket, each monomial product and each
+right multiplication.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -208,9 +211,11 @@ class UEA:
 
     Elements are immutable; the memo table of insertions, keyed
     (letter, monomial), of brackets, keyed (monomial, letter), and of right
-    insertions modulo n_-U(g), keyed (raising monomial, letter, None), is
-    append-only, so concurrent readers always observe identical canonical
-    forms.
+    insertions E·x modulo n_-U(g), keyed (raising monomial E, letter, None),
+    is append-only, so concurrent readers always observe identical
+    canonical forms.  ``right_multiply`` reads E·x from it once per E of
+    an element of U(g)/n_-U(g) held as E -> p_E(h); on that quotient
+    ad(f)·y = -y·f.
     """
 
     def __init__(self, lie: LieAlgebra, term_guard: int = DEFAULT_TERM_GUARD):
@@ -326,28 +331,18 @@ class UEA:
 
     # -- adjoint action -------------------------------------------------------
 
-    def ad(
-        self, x: UEAElement, y: UEAElement, modulo_nminus: bool = False
-    ) -> UEAElement:
+    def ad(self, x: UEAElement, y: UEAElement) -> UEAElement:
         """[x, y] for x in g: the sum of c·c'·[letter, m] over the terms
         c·letter of x and c'·m of y, each bracket by the Leibniz rule.  A
         monomial of x that is not one letter to the first power is a
-        ValueError.  With modulo_nminus, x must lie in b_- and y be given
-        in the basis of U(g)/n_-U(g), the monomials with no lowering letter:
-        there ad(f)·y = -y·f, as f·y lies in n_-U(g), and ad(h) is the
-        bracket."""
+        ValueError."""
         out: dict[Monomial, Rat] = {}
         for mx, cx in x.terms.items():
             if len(mx) != 1 or mx[0][1] != 1:
                 raise ValueError("ad(x) needs x in g: one letter per monomial")
-            letter, act = mx[0][0], self._bracket
-            if modulo_nminus and letter < self.h_start:
-                act, cx = self._right_insert, -cx
-            elif modulo_nminus and letter >= self.e_start:
-                raise ValueError("ad(x) modulo n_-U(g) needs x in b_-: a raising letter")
             for my, cy in y.terms.items():
                 c = cx * cy
-                for m, c2 in act(letter, my).items():
+                for m, c2 in self._bracket(mx[0][0], my).items():
                     add_into(out, m, c * c2)
         return UEAElement(self, self._guard(out))
 
@@ -366,26 +361,29 @@ class UEA:
             cached = self._mono_cache[key] = self._guard(out)
         return cached
 
-    def _right_insert(self, x: int, mono: Monomial) -> dict[Monomial, int]:
-        """mono·x in U(g)/n_-U(g), for mono with no lowering letter, in the
-        basis of such monomials.  mono = H·E with H in U(h) and E in U(n_+),
-        so it is H·(E·x): E·x is memoized without H, and the h letters that
-        lead its terms join H's.  The letters before the first raising one
-        are the monomial's entries below (e_start,)."""
-        k = bisect.bisect_left(mono, (self.e_start,))
-        if not k:
-            return self._right_insert_raising(x, mono)
-        out: dict[Monomial, int] = {}
-        for m, c in self._right_insert_raising(x, mono[k:]).items():
-            j = bisect.bisect_left(m, (self.e_start,))
-            if j:
-                exps = dict(mono[:k])
-                for idx, p in m[:j]:
-                    exps[idx] = exps.get(idx, 0) + p
-                m = tuple(sorted(exps.items())) + m[j:]
-            else:
-                m = mono[:k] + m
-            out[m] = c
+    def right_multiply(self, y: dict, x: int) -> dict:
+        """y·x in U(g)/n_-U(g) for the basis letter x, the quotient taken as
+        the free left U(h)-module on the raising monomials: y maps each
+        raising monomial E to its coefficient p_E(h), a map
+        {h-exponent tuple: coefficient}.  p_E·E·x is p_E times the memoized
+        E·x, whose terms are H·E' with H in U(h), so the exponents of H
+        are added to each exponent of p_E and the term filed under E'.
+        The guard counts the monomials H·E of the result."""
+        h, rank = self.h_start, self.lie.rank
+        out: dict = {}
+        for mono, poly in y.items():
+            for m, c in self._right_insert_raising(x, mono).items():
+                k = bisect.bisect_left(m, (self.e_start,))
+                shift = [0] * rank
+                for idx, p in m[:k]:
+                    shift[idx - h] = p
+                target = out.setdefault(m[k:], {})
+                for exps, c2 in poly.items():
+                    add_into(target, tuple(map(operator.add, exps, shift)), c * c2)
+        out = {mono: poly for mono, poly in out.items() if poly}
+        size = sum(map(len, out.values()))
+        if size > self.term_guard:
+            raise TermGuardExceeded("U(g) normalization", size, self.term_guard)
         return out
 
     def _right_insert_raising(self, x: int, mono: Monomial) -> dict[Monomial, int]:
@@ -405,8 +403,10 @@ class UEA:
             # rest·last·x = (rest·x)·last + rest·[last, x]
             out: dict[Monomial, int] = {}
             for m, c in self._right_insert_raising(x, rest).items():
-                for m2, c2 in self._right_insert(last, m).items():
-                    add_into(out, m2, c * c2)
+                # m is H·E'', and E''·last, raising, has no h letter
+                k = bisect.bisect_left(m, (self.e_start,))
+                for m2, c2 in self._right_insert_raising(last, m[k:]).items():
+                    add_into(out, m[:k] + m2, c * c2)
             for k, c in self.brackets[(last, x)].items():
                 for m, c2 in self._right_insert_raising(k, rest).items():
                     add_into(out, m, c * c2)

@@ -19,13 +19,16 @@ module U(g)/n_-U(g), whose basis is the monomials in h and n_+ alone
 (n_-U(g) is a right ideal, spanned by the monomials that start with a
 lowering letter).  There ad(f)·x is -x·f, because f·x lies in n_-U(g),
 and ad(f) maps n_-U(g) into itself, so ad(F)·v is v·F, a product of 2n
-commuting letters with the sign (-1)^{2n} = 1; no n_-U(g) term is built.
+commuting letters with the sign (-1)^{2n} = 1, built one right
+multiplication at a time (``UEA.right_multiply``) on the quotient as the
+free U(h)-module on the raising monomials E, each element a map
+E -> p_E(h); no n_-U(g) term is built.
 The letters commute, so their order sets only the cost: the plus letters
-first and the minus letters last feed 2-3 times fewer terms to ad than
-the reverse order.
-At weight 0 the projection is the identity on the quotient: a monomial
-there has no lowering letter, so it has no raising letter either, and
-each v·F_k already is a polynomial in h_1..h_l.
+first and the minus letters last feed 2-3 times fewer terms to each step
+than the reverse order.
+At weight 0 a monomial of the quotient has no lowering letter, so it has
+no raising letter either: each v·F_k is p_E at E = 1 alone, a polynomial
+in h_1..h_l, and the projection is the identity on it.
 Three checks guard the result: every ad(e_i) kills v, the weight
 multiplicities of V(2n eps_1) sum to its Weyl dimension, and the words
 reach the full rank of R_0, so they are a basis and R_0 maps injectively
@@ -101,8 +104,9 @@ def generate_module(
     """R_0 as one grlex echelon of Cartan polynomials, one per vector
     ad(F_k)·v = v·F_k in U(g)/n_-U(g), v the singular image in integers
     and F_k the words of S(u_-) (``_words``), each distinct prefix
-    computed once.  Each monomial of v·F_k is filed as the exponent tuple
-    of its h letters; any other letter raises RuntimeError.
+    computed once by ``UEA.right_multiply``.  v·F_k is filed as its
+    coefficient p_E at E = 1; any other raising monomial E left raises
+    RuntimeError, naming its first letter.
 
     OracleCeilingExceeded is raised before any work when the prefixes
     number more than the ceiling.  Three checks raise RuntimeError: the
@@ -130,23 +134,18 @@ def generate_module(
     v = UEAElement(engine, Echelon().insert(singular_image(engine, n).terms))
     if any(not engine.ad(engine.e(a), v).is_zero() for a in lie.rootsys.simple_roots):
         raise RuntimeError("singular image is not a highest-weight vector")
-    built = {(): v}
+    zero = (0,) * l
+    built = {(): {mono: {zero: c} for mono, c in v.terms.items()}}
     for p in prefixes:
-        built[p] = engine.ad(engine.f(p[-1]), built[p[:-1]], modulo_nminus=True)
+        built[p] = engine.right_multiply(built[p[:-1]], lie.f(p[-1]).index)
     r0 = Echelon(order=grlex)
     for word in words:
-        poly = {}
-        for mono, c in built[word].terms.items():
-            exps = [0] * l
-            for idx, power in mono:
-                if not engine.h_start <= idx < engine.e_start:
-                    raise RuntimeError(
-                        f"word result has the letter {lie.basis[idx]} outside the Cartan"
-                    )
-                exps[idx - engine.h_start] = power
-            poly[tuple(exps)] = c
-        r0.insert(poly)
-    zero = (0,) * l
+        stray = next((mono for mono in built[word] if mono), None)
+        if stray:
+            raise RuntimeError(
+                f"word result has the letter {lie.basis[stray[0][0]]} outside the Cartan"
+            )
+        r0.insert(built[word].get((), {}))
     if r0.dim != targets[zero]:
         raise RuntimeError(
             f"weight space {zero} closed at dimension {r0.dim},"

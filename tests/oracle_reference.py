@@ -8,6 +8,8 @@ both."""
 import itertools
 from fractions import Fraction
 
+from uea_reference import from_quotient, to_quotient
+
 from blvoa.rootsys import Weight, harmonic_multiplicities
 from blvoa.uea import UEA, Echelon, Monomial, UEAElement
 from blvoa.zero_weight import (
@@ -47,8 +49,9 @@ def _descend(
     weight multiplicities of V(2n eps_1), checked against its Weyl
     dimension; modulo n_-U(g) they are kept at the weights mu >= 0 (every
     partial sum of the eps-coordinates >= 0) and each step is -x·f_i in
-    the quotient.  A full space is skipped, the ceiling counts the targets
-    before any work, and every space must close at its target."""
+    the quotient, by UEA.right_multiply.  A full space is skipped, the
+    ceiling counts the targets before any work, and every space must close
+    at its target."""
     lie = engine.lie
     l = lie.rank
     simple = lie.rootsys.simple_roots
@@ -72,14 +75,18 @@ def _descend(
     v = UEAElement(engine, basis.space(top).insert(singular_image(engine, n).terms))
     if any(not engine.ad(engine.e(a), v).is_zero() for a in simple):
         raise RuntimeError("singular image is not a highest-weight vector")
-    lowering = [(engine.f(a), engine.weights[lie.f(a).index]) for a in simple]
+    lowering = [(lie.f(a).index, engine.weights[lie.f(a).index]) for a in simple]
     queue = [(v, top)]
     for x, w in queue:
         for f, step in lowering:
             mu = tuple(c + d for c, d in zip(w, step))
             if dim_at(basis, mu) >= targets.get(mu, 0):
                 continue
-            u = engine.ad(f, x, modulo_nminus=modulo_nminus)
+            if modulo_nminus:
+                y = engine.right_multiply(to_quotient(engine, x), f)
+                u = -from_quotient(engine, y)
+            else:
+                u = engine.ad(engine.gen(lie.basis[f]), x)
             if u.is_zero():
                 continue
             row = basis.space(mu).insert(u.terms)

@@ -14,7 +14,13 @@ from oracle_reference import (
     generate_nonnegative_module,
     generate_whole_module,
 )
-from uea_reference import evaluate_weight, hw_polynomial, poly_in_span
+from uea_reference import (
+    evaluate_weight,
+    from_quotient,
+    hw_polynomial,
+    poly_in_span,
+    to_quotient,
+)
 
 from blvoa.rootsys import (
     Root,
@@ -138,18 +144,18 @@ def test_pruned_descent_matches_the_full_module(l, n):
 
 
 def _descent_step_in_ug(eng):
-    """UEA.ad with the quotient descent's earlier step: ad(f_i)·x built in
-    U(g), then its lowering-led monomials dropped."""
-    ad = eng.ad
+    """UEA.right_multiply by a lowering letter f as the quotient descent's
+    earlier step: -ad(f)·y built in U(g), then its lowering-led monomials
+    dropped."""
 
-    def step(x, y, modulo_nminus=False):
-        u = ad(x, y)
-        return reduce_mod_nminus(eng, u) if modulo_nminus else u
+    def step(y, x):
+        u = eng.ad(eng.gen(eng.lie.basis[x]), from_quotient(eng, y))
+        return to_quotient(eng, -reduce_mod_nminus(eng, u))
 
     return step
 
 
-# the word path's step -x·f in U(g)/n_-U(g) against ad(f)·x in U(g) with
+# the word path's step y·f in U(g)/n_-U(g) against -ad(f)·y in U(g) with
 # n_-U(g) dropped after it: the same R_0 rows
 @pytest.mark.parametrize(
     "l,n", [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)]
@@ -157,7 +163,7 @@ def _descent_step_in_ug(eng):
 def test_quotient_descent_matches_the_step_in_ug(l, n, monkeypatch):
     module = generate_module(UEA(get_lie(l)), n)
     eng = UEA(get_lie(l))
-    monkeypatch.setattr(eng, "ad", _descent_step_in_ug(eng))
+    monkeypatch.setattr(eng, "right_multiply", _descent_step_in_ug(eng))
     assert module.rows() == generate_module(eng, n).rows()
 
 
@@ -215,14 +221,12 @@ def test_descent_rejects_a_vector_not_of_highest_weight(monkeypatch):
 def test_word_result_outside_the_cartan_is_named(kind, name, monkeypatch):
     eng = UEA(get_lie(2))
     alpha = eng.lie.rootsys.simple_roots[0]
-    ad = UEA.ad
+    stray = getattr(eng.lie, kind)(alpha).index
 
-    def leaky(engine, x, y, modulo_nminus=False):
-        if modulo_nminus:
-            return getattr(engine, kind)(alpha)
-        return ad(engine, x, y)
+    def leaky(engine, y, x):
+        return {(): {(1, 0): 1}, ((stray, 1),): {(0, 0): 1}}
 
-    monkeypatch.setattr(UEA, "ad", leaky)
+    monkeypatch.setattr(UEA, "right_multiply", leaky)
     with pytest.raises(RuntimeError, match=rf"letter {re.escape(name)} outside"):
         generate_module(eng, 1)
 

@@ -105,6 +105,32 @@ def hw_polynomial(engine: UEA, r: UEAElement) -> CartanPolynomial:
     return CartanPolynomial(l, coeffs)
 
 
+def to_quotient(engine: UEA, r: UEAElement) -> dict:
+    """r, given in the basis of U(g)/n_-U(g) (monomials H·E with no
+    lowering letter), as the map {E: {h exponents of H: coefficient}}."""
+    out: dict = {}
+    for mono, c in r.terms.items():
+        k = sum(idx < engine.e_start for idx, _ in mono)
+        exps = [0] * engine.lie.rank
+        for idx, p in mono[:k]:
+            exps[idx - engine.h_start] = p
+        out.setdefault(mono[k:], {})[tuple(exps)] = c
+    return out
+
+
+def from_quotient(engine: UEA, y: dict) -> UEAElement:
+    """The map {E: {h exponents: coefficient}} as an element of U(g) in the
+    basis of U(g)/n_-U(g): each term h^exps·E as its monomial."""
+    return UEAElement(
+        engine,
+        {
+            tuple((engine.h_start + i, p) for i, p in enumerate(exps) if p) + mono: c
+            for mono, poly in y.items()
+            for exps, c in poly.items()
+        },
+    )
+
+
 def fz_image(v: VermaVector, engine: UEA) -> UEAElement:
     """Image of a mode -1 creation vector in U(g): reversed word product.
 
