@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .liealg import LieAlgebra, add_into
-from .rootsys import RootSystem, Weight, built_root, eps_root, is_root
+from .rootsys import Root, RootSystem, Weight, built_root, eps_root, is_root
 from .uea import DEFAULT_TERM_GUARD, Rat, Sparse, TermGuardExceeded, exact
 
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
@@ -169,20 +169,27 @@ class VacuumModule:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Rat]:
-    """-1/4 e_{eps_1}(-1)^2 + sum_j e_{eps_1-eps_j}(-1) e_{eps_1+eps_j}(-1).
+def u_terms(rank: int) -> list[tuple[Rat, Root, Root]]:
+    """The terms (c, alpha, beta) of u = sum c e_alpha e_beta =
+    -1/4 e_{eps_1}^2 + sum_j e_{eps_1-eps_j} e_{eps_1+eps_j}, the one source
+    of u: the singular vector is u(-1)^n·1 (quadratic_creation_term), its
+    image in U(g) is u^n (zero_weight.singular_image), and the oracle's words
+    and q take their roots from here.  The e_{eps_1}^2 term comes first, then
+    j = 2..l; all the e_alpha commute, as 2 eps_1 is not a root."""
+    short = eps_root(rank, 1)
+    return [(Fraction(-1, 4), short, short)] + [
+        (1, eps_root(rank, 1, j, -1), eps_root(rank, 1, j, 1))
+        for j in range(2, rank + 1)
+    ]
 
-    All factors commute, so the words need no correction terms.
-    """
-    l = lie.rank
+
+def quadratic_creation_term(lie: LieAlgebra) -> dict[CWord, Rat]:
+    """u(-1) = sum c e_alpha(-1) e_beta(-1) over u_terms, as sorted creation
+    words; all factors commute, so the words need no correction terms."""
     out: dict[CWord, Rat] = {}
-    i1 = lie.e(eps_root(l, 1)).index
-    out[((-1, i1), (-1, i1))] = Fraction(-1, 4)
-    for j in range(2, l + 1):
-        minus = lie.e(eps_root(l, 1, j, -1)).index
-        plus = lie.e(eps_root(l, 1, j, 1)).index
-        pair = tuple(sorted([(-1, minus), (-1, plus)]))
-        add_into(out, pair, 1)
+    for c, alpha, beta in u_terms(lie.rank):
+        pair = tuple(sorted([(-1, lie.e(alpha).index), (-1, lie.e(beta).index)]))
+        add_into(out, pair, c)
     return out
 
 

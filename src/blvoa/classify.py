@@ -17,7 +17,13 @@ from typing import Optional, Sequence
 
 from .affine import AdmissibilityResult, AffineWeight, is_admissible, level_of
 from .liealg import LieAlgebra
-from .rootsys import RootSystem, Weight, weight_from_fundamental
+from .rootsys import (
+    RootSystem,
+    Weight,
+    eps_to_fundamental,
+    fundamental_to_doubled_eps,
+    weight_from_fundamental,
+)
 from .zero_weight import q_numerator, q_terms
 
 
@@ -45,7 +51,7 @@ def _fundamental_keys(weights: Sequence[Weight]) -> list[tuple[int, ...]]:
     fundamental coordinates do."""
     d = math.lcm(*(c.denominator for w in weights for c in w.eps))
     scaled = [[c.numerator * (d // c.denominator) for c in w.eps] for w in weights]
-    return [tuple(a - b for a, b in zip(m, m[1:])) + (2 * m[-1],) for m in scaled]
+    return [eps_to_fundamental(m) for m in scaled]
 
 
 def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
@@ -64,7 +70,7 @@ def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
         offset = 2 * (rank - i) - 1   # 2 (l - i - 1/2)
         grown = []
         for tail in partial:
-            chain = 2 * sum(tail[:-1]) + tail[-1]
+            chain = fundamental_to_doubled_eps(tail)[0]
             values = {2 * t for t in range(n)}
             values |= {2 * t - offset - chain for t in range(n)}
             grown.extend((v,) + tail for v in sorted(values))
@@ -72,17 +78,10 @@ def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
     return sorted(partial)
 
 
-def _quadrupled_eps(doubled: Sequence[int]) -> list[int]:
-    """4 mu in eps-coordinates from 2 c: 4 mu_l = 2 c_l and
-    4 mu_i = 2 (2 c_i) + 4 mu_{i+1} (weight_from_fundamental in integers)."""
-    out = [doubled[-1]]
-    for c in reversed(doubled[:-1]):
-        out.append(2 * c + out[-1])
-    return out[::-1]
-
-
 def _weight_of_doubled(doubled: Sequence[int]) -> Weight:
-    return Weight(Fraction(x, 4) for x in _quadrupled_eps(doubled))
+    """The weight mu with fundamental coordinates doubled / 2: 4 mu is the
+    doubled eps-coordinates of 2 c, in ints."""
+    return Weight(Fraction(x, 4) for x in fundamental_to_doubled_eps(doubled))
 
 
 def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
@@ -101,7 +100,7 @@ def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
     terms = q_terms(rs.rank, n)
     entries = []
     for d in _doubled_zeros(rs.rank, n):
-        if q_numerator(terms, n, _quadrupled_eps(d), 4) != 0:
+        if q_numerator(terms, n, fundamental_to_doubled_eps(d), 4) != 0:
             continue
         tags, label = ("category-O", "candidate"), None
         if n == 1:

@@ -1,20 +1,22 @@
-"""Matrix realization of the simple Lie algebra so(2l+1) of type B_l.
+"""The simple Lie algebra so(2l+1) of type B_l, from integer labels.
 
-The algebra is realized as matrices antisymmetric about the antidiagonal
-(X[i][j] = -X[j'][i'] with i' = N+1-i for N = 2l+1), so the Cartan
-subalgebra is diagonal, diag(a_1, ..., a_l, 0, -a_l, ..., -a_1), and
-ad-weights can be read off entrywise.  Each root vector has a closed form
-in the matrix units E (1-based):
+so(2l+1) is taken as the matrices antisymmetric about the antidiagonal,
+spanned by the units A(a, b) = E_ab - E_b'a' (1-based, x' = 2l + 2 - x),
+so A(b', a') = -A(a, b) and A(a, a') = 0.  The Cartan subalgebra is
+diagonal, diag(a_1, ..., a_l, 0, -a_l, ..., -a_1), and A(a, b) has the
+weight eps_a - eps_b, with eps_(l+1) = 0 and eps_x' = -eps_x.  Each root
+vector is c A(a, b), held as its unit (a, b, 2c) in integers:
 
-    e_alpha = s (E_ab - E_b'a'),    f_alpha = t (E_ba - E_a'b'),
+    e_alpha = (i, j, 2),     f_alpha = (j, i, 2)       for eps_i - eps_j,
+    e_alpha = (i, l+1, 2),   f_alpha = (l+1, i, 4)     for eps_i,
+    e_alpha = (i, j', -1),   f_alpha = (j', i, -4)     for eps_i + eps_j.
 
-with (a, b, s, t) = (i, j, 1, 1) for eps_i - eps_j, (i, l+1, 1, 2) for
-eps_i and (i, j', -1/2, -2) for eps_i + eps_j.  h_i is the diagonal of the
-simple coroot alpha_i^vee = 2 alpha_i/(alpha_i, alpha_i), which is
-[e_i, f_i].  These are the matrices that the nested brackets of the
-Chevalley generators give (checked in the tests), which pins every
-normalization; in particular [e_alpha, f_alpha] is exactly the coroot
-h_alpha for every positive root alpha.
+h_i is the diagonal of the simple coroot alpha_i^vee = 2 alpha_i/(alpha_i,
+alpha_i), which is [e_i, f_i].  These are the matrices that the nested
+brackets of the Chevalley generators give (checked in the tests, which
+build the matrices from the units), which pins every normalization; in
+particular [e_alpha, f_alpha] is exactly the coroot h_alpha for every
+positive root alpha.
 
 The bracket table is read by weight.  [x_i, x_j] has the weight
 w = wt_i + wt_j, and every root space is one-dimensional, so in a Chevalley
@@ -22,10 +24,13 @@ basis [e_alpha, e_beta] = N e_(alpha+beta) (Humphreys, Introduction to Lie
 Algebras and Representation Theory, section 25).  [h_k, x] is
 <wt(x), alpha_k^vee> x, read off x's integer weight.  Among the other
 pairs, when w is neither 0 nor a root the bracket is 0; when w is a root
-gamma it is one integer, the entry of [x_i, x_j] at one cell of x_gamma
-divided by x_gamma's entry there, both read from the basis matrices scaled
-to integers; when w = 0 the pair is (f_alpha, e_alpha), whose bracket is
--h_alpha, read in closed form from the coroot of alpha by h_of_root.
+gamma it is the one integer N that the bracket of the units gives,
+
+    [A(a,b), A(c,d)] = d_bc A(a,d) - d_ad A(c,b) - d_bd' A(a,c') - d_ac' A(b',d)
+
+(d the Kronecker delta), each of whose terms is +-A of x_gamma's unit;
+when w = 0 the pair is (f_alpha, e_alpha), whose bracket is -h_alpha, read
+in closed form from the coroot of alpha by h_of_root.
 
 The invariant form, normalized so (e_theta, f_theta) = 1, is read off the
 coroots too: (h_i, h_j) = (alpha_i^vee, alpha_j^vee) in eps-coordinates,
@@ -37,15 +42,19 @@ against the matrix brackets and (x, y) = tr(xy)/2.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from typing import Optional
 
-from .rootsys import Root, RootSystem, build_root_system, eps_root, int_coroot
+from .rootsys import (
+    Root,
+    RootSystem,
+    build_root_system,
+    eps_root,
+    eps_to_fundamental,
+    int_coroot,
+)
 
-# {(row, col): entry}, 0-based, holding only the nonzero entries, so that
-# == compares matrices and an empty dict is the zero matrix.
-Matrix = dict[tuple[int, int], Fraction]
+# (a, b, 2c) for the root vector c A(a, b), 1-based
+Unit = tuple[int, int, int]
 
 
 def add_into(out: dict, key, c) -> None:
@@ -57,22 +66,15 @@ def add_into(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
-def mat_cell(a: dict, b: dict, r: int, c: int):
-    """Entry (r, c) of [a, b] = ab - ba without forming either product."""
-    ab = sum(x * b.get((k, c), 0) for (i, k), x in a.items() if i == r)
-    ba = sum(y * a.get((k, c), 0) for (i, k), y in b.items() if i == r)
-    return ab - ba
-
-
 class BasisElement:
     """One member of the ordered basis: f(alpha), h(i) or e(alpha)."""
 
-    __slots__ = ("kind", "label", "matrix", "index")
+    __slots__ = ("kind", "label", "unit", "index")
 
-    def __init__(self, kind: str, label, matrix: Matrix, index: int):
+    def __init__(self, kind: str, label, unit: Optional[Unit], index: int):
         self.kind = kind          # "f", "h" or "e"
         self.label = label        # Root for e/f, 1-based int for h
-        self.matrix = matrix
+        self.unit = unit          # (a, b, 2c) for e/f, None for h
         self.index = index        # position in the fixed basis order
 
     def __repr__(self) -> str:
@@ -104,35 +106,22 @@ class LieAlgebra:
 
     def _build_basis(self) -> None:
         l, p = self.rank, self.n + 1   # x' = p - x
-
-        def units(a: int, b: int, c: Fraction) -> Matrix:
-            """c (E_ab - E_b'a'), 1-based."""
-            return {(a - 1, b - 1): c, (p - b - 1, p - a - 1): -c}
-
-        one, two, half = Fraction(1), Fraction(2), Fraction(1, 2)
-        ef: dict[tuple[int, ...], tuple[Matrix, Matrix]] = {}   # (e_alpha, f_alpha)
+        units: dict[tuple[int, ...], tuple[Unit, Unit]] = {}   # (e_alpha, f_alpha)
         for i in range(1, l + 1):
-            ef[eps_root(l, i).eps] = (units(i, l + 1, one), units(l + 1, i, two))
+            units[eps_root(l, i).eps] = ((i, l + 1, 2), (l + 1, i, 4))
             for j in range(i + 1, l + 1):
-                ef[eps_root(l, i, j, -1).eps] = (units(i, j, one), units(j, i, one))
-                ef[eps_root(l, i, j, 1).eps] = (
-                    units(i, p - j, -half),
-                    units(p - j, i, -two),
-                )
+                units[eps_root(l, i, j, -1).eps] = ((i, j, 2), (j, i, 2))
+                units[eps_root(l, i, j, 1).eps] = ((i, p - j, -1), (p - j, i, -4))
         rs = self.rootsys
         pos = rs.positive_roots
-        basis = [BasisElement("f", r, ef[r.eps][1], k) for k, r in enumerate(pos)]
+        basis = [BasisElement("f", r, units[r.eps][1], k) for k, r in enumerate(pos)]
         # simple coroots in integer eps-coordinates; h_i is the diagonal
         # diag(v, 0, -v reversed) of v = alpha_i^vee
         self.simple_coroots = tuple(int_coroot(a.eps) for a in rs.simple_roots)
-        for i, v in enumerate(self.simple_coroots, 1):
-            h: Matrix = {}
-            for k, c in enumerate(v):
-                if c:
-                    h[k, k], h[p - k - 2, p - k - 2] = Fraction(c), Fraction(-c)
-            basis.append(BasisElement("h", i, h, len(basis)))
+        for i in range(1, l + 1):
+            basis.append(BasisElement("h", i, None, len(basis)))
         for r in pos:
-            basis.append(BasisElement("e", r, ef[r.eps][0], len(basis)))
+            basis.append(BasisElement("e", r, units[r.eps][0], len(basis)))
         self.basis: tuple[BasisElement, ...] = tuple(basis)
         # integer epsilon-coordinates of each basis element's ad-h weight:
         # -alpha, 0 or alpha
@@ -195,14 +184,8 @@ class LieAlgebra:
             code = [sum(c * 5**k for k, c in enumerate(w)) for w in wts]
             owner = {w: k for k, w in enumerate(code) if w}
             h_block = range(self.h_start, self.e_start)
-            # the basis matrices times their common denominator, in ints
-            den = math.lcm(
-                *(x.denominator for b in self.basis for x in b.matrix.values())
-            )
-            ints = [
-                {cell: x.numerator * (den // x.denominator) for cell, x in b.matrix.items()}
-                for b in self.basis
-            ]
+            # <wt, alpha_k^vee> for every k, once per basis weight
+            fund = [eps_to_fundamental(w) for w in wts]
             table: dict[tuple[int, int], dict[int, int]] = {}
             nb = len(self.basis)
             for i in range(nb):
@@ -210,26 +193,21 @@ class LieAlgebra:
                 for j in range(i + 1, nb):
                     w = code[i] + code[j]
                     if j in h_block:   # [x_i, h_k] = -<wt_i, alpha_k^vee> x_i
-                        v = -self._pairing(wts[i], j - self.h_start)
+                        v = -fund[i][j - self.h_start]
                         row = {i: v} if v else {}
                     elif i in h_block:
-                        v = self._pairing(wts[j], i - self.h_start)
+                        v = fund[j][i - self.h_start]
                         row = {j: v} if v else {}
                     elif not w:
                         row = self._cartan_row(i, j)
                     elif w in owner:
-                        row = self._root_row(i, j, owner[w], den, ints)
+                        row = self._root_row(i, j, owner[w])
                     else:
                         row = {}
                     table[(i, j)] = row
                     table[(j, i)] = {k: -v for k, v in row.items()}
             self._brackets = table
         return self._brackets
-
-    def _pairing(self, wt: tuple[int, ...], k: int) -> int:
-        """<wt, alpha_(k+1)^vee> for an integer eps-weight: wt_k - wt_(k+1),
-        or 2 wt_l for the short simple root (k 0-based)."""
-        return wt[k] - wt[k + 1] if k < self.rank - 1 else 2 * wt[k]
 
     def _cartan_row(self, i: int, j: int) -> dict[int, int]:
         """[x_i, x_j] over the basis, given that its weight is 0 and neither
@@ -241,19 +219,30 @@ class LieAlgebra:
             raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient") from err
         return {self.h_start + k - 1: -c for k, c in h.items()}
 
-    def _root_row(
-        self, i: int, j: int, target: int, den: int, ints: list[dict]
-    ) -> dict[int, int]:
-        """[x_i, x_j] = c x_target, given that its weight is the root of
-        x_target.  With the den-scaled integer matrices D = den x,
-        [D_i, D_j] = den c D_target, so c is read at one cell of D_target."""
-        m = ints[target]
-        cell = next(iter(m))
-        num, div = mat_cell(ints[i], ints[j], *cell), den * m[cell]
+    def _root_row(self, i: int, j: int, target: int) -> dict[int, int]:
+        """[x_i, x_j] = N x_target, given that its weight is the root of
+        x_target.  Each delta term of [A(a,b), A(c,d)] (the module docstring)
+        has that weight too, so it is +-A(a_t, b_t), A(b_t', a_t') being
+        -A(a_t, b_t); with s the signed count of these terms and x = (u/2) A
+        for the unit (a, b, u), u_i u_j s = 2 N u_t."""
+        a, b, ui = self.basis[i].unit
+        c, d, uj = self.basis[j].unit
+        at, bt, ut = self.basis[target].unit
+        p = self.n + 1   # x' = p - x
+        s = 0
+        for hit, sign, x, y in (
+            (b == c, 1, a, d),
+            (a == d, -1, c, b),
+            (b == p - d, -1, a, p - c),
+            (a == p - c, -1, p - b, d),
+        ):
+            if hit:
+                s += sign if (x, y) == (at, bt) else -sign
+        num, div = ui * uj * s, 2 * ut
         if num % div:
             raise ArithmeticError(f"[x_{i}, x_{j}] has a non-integral coefficient")
-        c = num // div
-        return {target: c} if c else {}
+        n = num // div
+        return {target: n} if n else {}
 
     def h_of_root(self, alpha: Root) -> dict[int, int]:
         """Coefficients of h_alpha = [e_alpha, f_alpha] over h_1..h_l (1-based)."""

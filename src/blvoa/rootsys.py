@@ -40,15 +40,8 @@ class Weight:
         return len(self.eps)
 
     def fundamental(self) -> tuple[Fraction, ...]:
-        """Values on the simple coroots h_1, ..., h_l.
-
-        For B_l these are mu_i - mu_{i+1} for i < l and 2*mu_l for i = l.
-        """
-        mu = self.eps
-        l = len(mu)
-        vals = [mu[i] - mu[i + 1] for i in range(l - 1)]
-        vals.append(2 * mu[l - 1])
-        return tuple(vals)
+        """Values on the simple coroots h_1, ..., h_l (eps_to_fundamental)."""
+        return eps_to_fundamental(self.eps)
 
     def __add__(self, other: "Weight") -> "Weight":
         _check_rank(self, other)
@@ -128,17 +121,27 @@ def int_coroot(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(scale * a for a in alpha)
 
 
+def eps_to_fundamental(mu: Sequence[Rat]) -> tuple[Rat, ...]:
+    """The values <mu, alpha_i^vee> on the simple coroots of a weight in
+    eps-coordinates: mu_i - mu_{i+1} for i < l and 2 mu_l, in ints for ints."""
+    return tuple(a - b for a, b in zip(mu, mu[1:])) + (2 * mu[-1],)
+
+
+def fundamental_to_doubled_eps(c: Sequence[Rat]) -> tuple[Rat, ...]:
+    """2 mu in eps-coordinates for the weight mu with fundamental
+    coordinates c: 2 mu_i = 2 (c_i + ... + c_{l-1}) + c_l, in ints for ints."""
+    out = [c[-1]]
+    for x in reversed(c[:-1]):
+        out.append(2 * x + out[-1])
+    return tuple(reversed(out))
+
+
 def weight_from_fundamental(coords: Sequence[Rat]) -> Weight:
-    """Inverse of Weight.fundamental: mu_l = c_l/2, mu_i = c_i + mu_{i+1}."""
+    """Inverse of Weight.fundamental: mu = fundamental_to_doubled_eps(c)/2."""
     c = [Fraction(exact(x)) for x in coords]
-    l = len(c)
-    if l < 2:
+    if len(c) < 2:
         raise ValueError("rank must be at least 2")
-    mu = [Fraction(0)] * l
-    mu[l - 1] = c[l - 1] / 2
-    for i in range(l - 2, -1, -1):
-        mu[i] = c[i] + mu[i + 1]
-    return Weight(mu)
+    return Weight(x / 2 for x in fundamental_to_doubled_eps(c))
 
 
 class RootSystem:

@@ -42,6 +42,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .affine import u_terms
 from .liealg import LieAlgebra
 from .rootsys import Root, Weight, eps_root, harmonic_multiplicities, int_coroot
 from .uea import (
@@ -63,13 +64,10 @@ class OracleCeilingExceeded(RuntimeError):
 
 
 def singular_image(engine: UEA, n: int) -> UEAElement:
-    """(-1/4 e_{eps_1}^2 + sum_j e_{eps_1-eps_j} e_{eps_1+eps_j})^n in U(g)."""
-    l = engine.lie.rank
-    base = Fraction(-1, 4) * engine.e(eps_root(l, 1), 2)
-    for j in range(2, l + 1):
-        base = base + engine.multiply(
-            engine.e(eps_root(l, 1, j, -1)), engine.e(eps_root(l, 1, j, 1))
-        )
+    """u^n in U(g), u = sum c e_alpha e_beta over affine.u_terms."""
+    base = engine.zero()
+    for c, alpha, beta in u_terms(engine.lie.rank):
+        base = base + c * engine.multiply(engine.e(alpha), engine.e(beta))
     return engine.power(base, n)
 
 
@@ -86,14 +84,14 @@ def _compositions(n: int, m: int) -> Iterable[tuple[int, ...]]:
 def _words(l: int, n: int) -> list[tuple[Root, ...]]:
     """The words F_k of S(u_-), one per composition k of n into l parts,
     each as the roots of its letters in the order they are applied:
-    f_{eps_1+eps_j}^{k_j}, then f_{eps_1}^{2 k_1}, then f_{eps_1-eps_j}^{k_j}."""
-    plus = [eps_root(l, 1, j, 1) for j in range(2, l + 1)]
-    minus = [eps_root(l, 1, j, -1) for j in range(2, l + 1)]
+    f_{eps_1+eps_j}^{k_j}, then f_{eps_1}^{2 k_1}, then f_{eps_1-eps_j}^{k_j},
+    the roots of u's terms (affine.u_terms)."""
+    (_, short, _), *pairs = u_terms(l)
     words = []
     for ks in _compositions(n, l):
-        word = [a for a, k in zip(plus, ks[1:]) for _ in range(k)]
-        word += [eps_root(l, 1)] * (2 * ks[0])
-        word += [a for a, k in zip(minus, ks[1:]) for _ in range(k)]
+        word = [plus for (_, _, plus), k in zip(pairs, ks[1:]) for _ in range(k)]
+        word += [short] * (2 * ks[0])
+        word += [minus for (_, minus, _), k in zip(pairs, ks[1:]) for _ in range(k)]
         words.append(tuple(word))
     return words
 
@@ -203,9 +201,8 @@ def q_terms(rank: int, n: int) -> list[tuple[int, list[QChain]]]:
     This list is the one source of q: explicit_q expands it, q_numerator
     evaluates it.
     """
-    alphas = [eps_root(rank, 1).eps] + [
-        eps_root(rank, 1, j, -1).eps for j in range(2, rank + 1)
-    ]
+    (_, short, _), *pairs = u_terms(rank)
+    alphas = [short.eps] + [minus.eps for _, minus, _ in pairs]
     roots = [(alpha, int_coroot(alpha)) for alpha in alphas]
     out = []
     for ks in _compositions(n, rank):

@@ -1,7 +1,7 @@
 """Sparse Fraction matrix algebra for so(2l+1), the reference that the
-closed forms of ``blvoa.liealg`` are tested against: matrix products and
-brackets, the expansion of a matrix of the algebra over the fixed basis,
-and the invariant form (x, y) = tr(xy)/2.
+closed forms of ``blvoa.liealg`` are tested against: the matrix of each
+basis element, matrix products and brackets, the expansion of a matrix of
+the algebra over the fixed basis, and the invariant form (x, y) = tr(xy)/2.
 
 Matrices are {(row, col): entry} dicts, 0-based, holding only the nonzero
 entries, so == compares matrices and an empty dict is the zero matrix.
@@ -13,6 +13,22 @@ from blvoa.liealg import add_into
 
 # tr(e_theta f_theta) = 2 for the closed forms, so (e_theta, f_theta) = 1
 FORM_SCALE = Fraction(1, 2)
+
+
+def basis_matrix(lie, b) -> dict:
+    """The matrix of the basis element b: c (E_ab - E_b'a') (1-based,
+    x' = 2l + 2 - x) for e/f with the unit (a, b, 2c), and
+    diag(v, 0, -v reversed) for h_i with v the simple coroot alpha_i^vee."""
+    p = lie.n + 1
+    if b.kind == "h":
+        out = {}
+        for k, c in enumerate(lie.simple_coroots[b.label - 1]):
+            if c:
+                out[k, k], out[p - k - 2, p - k - 2] = Fraction(c), Fraction(-c)
+        return out
+    row, col, u = b.unit
+    c = Fraction(u, 2)
+    return {(row - 1, col - 1): c, (p - col - 1, p - row - 1): -c}
 
 
 def mat_sub(a: dict, b: dict) -> dict:
@@ -66,7 +82,7 @@ def expand(lie, m: dict) -> dict[int, Fraction]:
     for j, cj in enumerate(c):
         if cj:
             out[lie.h_start + j] = cj
-            hb = lie.basis[lie.h_start + j].matrix
+            hb = basis_matrix(lie, lie.basis[lie.h_start + j])
             work = mat_sub(work, mat_scale(cj, hb))
     # Root-vector part: each root owns disjoint matrix cells, so any
     # cell of a root vector marks its coefficient.
@@ -75,11 +91,12 @@ def expand(lie, m: dict) -> dict[int, Fraction]:
             break
         if b.kind == "h":
             continue
-        cell = next(iter(b.matrix))
+        bm = basis_matrix(lie, b)
+        cell = next(iter(bm))
         if cell in work:
-            coeff = work[cell] / b.matrix[cell]
+            coeff = work[cell] / bm[cell]
             out[b.index] = coeff
-            work = mat_sub(work, mat_scale(coeff, b.matrix))
+            work = mat_sub(work, mat_scale(coeff, bm))
     if work:
         raise ArithmeticError("matrix does not lie in the algebra span")
     return out

@@ -12,7 +12,7 @@ Each mutant is applied to a fresh temporary copy of src (with tests,
 perfbench and pyproject.toml beside it, as the tests read them); its tests
 run there, and a mutant survives when they all pass.  The run prints each
 mutant as killed or SURVIVED with its time, and exits 1 if any survived;
-the full run (sixteen mutants) takes about 21 s on a 2-CPU x86-64 machine.
+the full run (nineteen mutants) takes about 22 s on a 2-CPU x86-64 machine.
 Standard library only.
 """
 
@@ -38,6 +38,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]   # pytest node ids, at least one of which must fail
 
 
+FULL_SCAN = "tests/test_liealg.py::test_structure_constants_match_full_scan_reference"
+LIEALG_GOLDEN = "tests/test_liealg_golden.py::test_liealg_data_matches_golden"
 ADMISSIBLE_DIFF = "tests/test_affine.py::test_is_admissible_matches_fraction_reference"
 SPLITS_SCAN = "tests/test_rootsys.py::test_closed_form_splits_match_a_scan_of_every_pair"
 RIGHT_INSERTION = "tests/test_uea.py::test_right_insertion_is_the_product_modulo_nminus"
@@ -45,6 +47,27 @@ QUOTIENT_DESCENT = "tests/test_zero_weight.py::test_quotient_descent_matches_the
 WORD_PATH = "tests/test_zero_weight.py::test_word_path_matches_the_reference_descents"
 
 MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "root-pair bracket drops the d_ac' term",
+        "src/blvoa/liealg.py",
+        "            (a == p - c, -1, p - b, d),\n",
+        "",
+        (FULL_SCAN, LIEALG_GOLDEN),
+    ),
+    Mutant(
+        "root-pair bracket ignores the sign of A(b', a')",
+        "src/blvoa/liealg.py",
+        "s += sign if (x, y) == (at, bt) else -sign",
+        "s += sign",
+        (FULL_SCAN, LIEALG_GOLDEN),
+    ),
+    Mutant(
+        "root-pair bracket drops the 1/2 of the units",
+        "src/blvoa/liealg.py",
+        "num, div = ui * uj * s, 2 * ut",
+        "num, div = ui * uj * s, ut",
+        (FULL_SCAN, LIEALG_GOLDEN),
+    ),
     Mutant(
         "mode 0 allowed for negative roots",
         "src/blvoa/rootsys.py",
@@ -122,15 +145,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "oracle words with half the f_{eps_1} letters",
         "src/blvoa/zero_weight.py",
-        "word += [eps_root(l, 1)] * (2 * ks[0])",
-        "word += [eps_root(l, 1)] * ks[0]",
+        "word += [short] * (2 * ks[0])",
+        "word += [short] * ks[0]",
         (WORD_PATH,),
     ),
     Mutant(
         "oracle words with f_{eps_1+eps_j} for f_{eps_1-eps_j}",
         "src/blvoa/zero_weight.py",
-        "minus = [eps_root(l, 1, j, -1) for j in range(2, l + 1)]",
-        "minus = [eps_root(l, 1, j, 1) for j in range(2, l + 1)]",
+        "word += [minus for (_, minus, _), k in zip(pairs, ks[1:])",
+        "word += [minus for (_, _, minus), k in zip(pairs, ks[1:])",
         (WORD_PATH,),
     ),
     Mutant(

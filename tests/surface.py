@@ -16,10 +16,10 @@ them entered, as ``module.qualified-name``, and exits 0.  A function
 listed there is test-only or dead unless it is a constructor, a dunder
 method, a property or a documented library boundary.
 
-The run takes about 17 s on a 2-CPU x86-64 machine and prints
+The run takes about 10 s on a 2-CPU x86-64 machine and prints
 
     130 distinct argv (54 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
-    never entered: 28 of 183 functions
+    never entered: 27 of 182 functions
       affine.VermaVector._space
       affine.VermaVector.level
       affine.VermaVector.__repr__
@@ -39,7 +39,6 @@ The run takes about 17 s on a 2-CPU x86-64 machine and prints
       uea.Sparse.__hash__
       uea.UEAElement.__mul__
       uea.UEAElement.__repr__
-      uea.UEA.zero
       uea.UEA.h
       uea.UEA.element
       uea.UEA.weight_of

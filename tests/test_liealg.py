@@ -1,8 +1,9 @@
-"""Matrix realization: Chevalley relations, closed-form root vectors and
-Cartan diagonals against the nested-bracket reference, the weight-keyed
-structure constants and h_alpha against the full matrix-bracket expansion,
-Jacobi, and the closed-form invariant form against tr(xy)/2.  The matrix
-algebra of the references lives in matrix_reference."""
+"""so(2l+1) from integer labels against its matrices: the matrices built
+from the basis units (matrix_reference.basis_matrix) satisfy the Chevalley
+relations and equal the nested-bracket reference, the weight-keyed
+structure constants and h_alpha equal the full matrix-bracket expansion,
+Jacobi holds, and the closed-form invariant form equals tr(xy)/2.  The
+matrix algebra of the references lives in matrix_reference."""
 
 import random
 import re
@@ -12,7 +13,15 @@ import pytest
 
 from conftest import get_lie
 from fraction_reference import cartan_matrix, coroot_pairing, inner
-from matrix_reference import expand, mat_bracket, mat_mul, mat_scale, mat_sub, trace_form
+from matrix_reference import (
+    basis_matrix,
+    expand,
+    mat_bracket,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    trace_form,
+)
 from uea_reference import chevalley_generators
 
 from blvoa import liealg
@@ -20,15 +29,22 @@ from blvoa.liealg import LieAlgebra
 from blvoa.rootsys import Root, Weight, eps_root
 
 
+def _generator_matrices(lie):
+    """The matrices of the Chevalley generators e_i, f_i and h_i."""
+    return tuple(
+        [basis_matrix(lie, b) for b in gens] for gens in chevalley_generators(lie)
+    )
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_chevalley_relations(l):
     lie = get_lie(l)
-    es, fs, hs = chevalley_generators(lie)
+    es, fs, hs = _generator_matrices(lie)
     for i in range(l):
         for j in range(l):
-            br = mat_bracket(es[i].matrix, fs[j].matrix)
+            br = mat_bracket(es[i], fs[j])
             if i == j:
-                assert br == hs[i].matrix
+                assert br == hs[i]
             else:
                 assert not br
 
@@ -36,16 +52,12 @@ def test_chevalley_relations(l):
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_cartan_action_on_simple_vectors(l):
     lie = get_lie(l)
-    es, fs, hs = chevalley_generators(lie)
+    es, fs, hs = _generator_matrices(lie)
     A = cartan_matrix(lie)
     for i in range(l):
         for j in range(l):
-            assert mat_bracket(hs[i].matrix, es[j].matrix) == mat_scale(
-                A[i][j], es[j].matrix
-            )
-            assert mat_bracket(hs[i].matrix, fs[j].matrix) == mat_scale(
-                -A[i][j], fs[j].matrix
-            )
+            assert mat_bracket(hs[i], es[j]) == mat_scale(A[i][j], es[j])
+            assert mat_bracket(hs[i], fs[j]) == mat_scale(-A[i][j], fs[j])
 
 
 def test_short_long_cartan_entries():
@@ -53,13 +65,9 @@ def test_short_long_cartan_entries():
     # adjacent long simple root, the long coroot h_{l-1} to -1 against alpha_l
     for l in (2, 3):
         lie = get_lie(l)
-        es, fs, hs = chevalley_generators(lie)
-        assert mat_bracket(hs[l - 1].matrix, es[l - 2].matrix) == mat_scale(
-            Fraction(-2), es[l - 2].matrix
-        )
-        assert mat_bracket(hs[l - 2].matrix, es[l - 1].matrix) == mat_scale(
-            Fraction(-1), es[l - 1].matrix
-        )
+        es, fs, hs = _generator_matrices(lie)
+        assert mat_bracket(hs[l - 1], es[l - 2]) == mat_scale(Fraction(-2), es[l - 2])
+        assert mat_bracket(hs[l - 2], es[l - 1]) == mat_scale(Fraction(-1), es[l - 1])
 
 
 def _unit(i: int, j: int):
@@ -113,15 +121,12 @@ def _nested_bracket_basis(l: int):
 def test_closed_forms_match_nested_brackets(l):
     lie = LieAlgebra(l)
     ce, cf, ch, e_pos, f_pos = _nested_bracket_basis(l)
-    es, fs, hs = chevalley_generators(lie)
-    assert [b.matrix for b in es] == ce
-    assert [b.matrix for b in fs] == cf
-    assert [b.matrix for b in hs] == ch
-    assert [lie.h(i).matrix for i in range(1, l + 1)] == ch
+    assert _generator_matrices(lie) == (ce, cf, ch)
+    assert [basis_matrix(lie, lie.h(i)) for i in range(1, l + 1)] == ch
     assert set(e_pos) == set(f_pos) == set(lie.rootsys.positive_roots)
     for alpha in lie.rootsys.positive_roots:
-        assert lie.e(alpha).matrix == e_pos[alpha], alpha
-        assert lie.f(alpha).matrix == f_pos[alpha], alpha
+        assert basis_matrix(lie, lie.e(alpha)) == e_pos[alpha], alpha
+        assert basis_matrix(lie, lie.f(alpha)) == f_pos[alpha], alpha
 
 
 def test_root_vector_base_cases():
@@ -138,9 +143,9 @@ def test_root_vectors_have_correct_weights(l):
     for alpha in lie.rootsys.positive_roots:
         for b, sign in ((lie.e(alpha), 1), (lie.f(alpha), -1)):
             for i in range(1, l + 1):
-                br = mat_bracket(lie.h(i).matrix, b.matrix)
+                br = mat_bracket(basis_matrix(lie, lie.h(i)), basis_matrix(lie, b))
                 lam = sign * coroot_pairing(alpha, lie.rootsys.simple_roots[i - 1])
-                assert br == mat_scale(lam, b.matrix)
+                assert br == mat_scale(lam, basis_matrix(lie, b))
 
 
 def _dense(m, n: int) -> list[list[Fraction]]:
@@ -170,12 +175,13 @@ def _dense_bracket(a, b) -> list[list[Fraction]]:
 def test_sparse_bracket_matches_dense_reference(l):
     """The sparse bracket agrees with plain dense matrix products."""
     lie = get_lie(l)
-    for b in lie.basis:
-        assert len(b.matrix) in (2, 4) and all(b.matrix.values()), b
-    dense = [_dense(b.matrix, lie.n) for b in lie.basis]
-    for x, dx in zip(lie.basis, dense):
-        for y, dy in zip(lie.basis, dense):
-            br = mat_bracket(x.matrix, y.matrix)
+    mats = [basis_matrix(lie, b) for b in lie.basis]
+    for b, m in zip(lie.basis, mats):
+        assert len(m) in (2, 4) and all(m.values()), b
+    dense = [_dense(m, lie.n) for m in mats]
+    for x, mx, dx in zip(lie.basis, mats, dense):
+        for y, my, dy in zip(lie.basis, mats, dense):
+            br = mat_bracket(mx, my)
             assert all(br.values())
             assert _dense(br, lie.n) == _dense_bracket(dx, dy), (x, y)
     # entries that cancel are dropped, so the zero matrix is empty
@@ -186,7 +192,7 @@ def test_sparse_bracket_matches_dense_reference(l):
 def test_short_root_coroot_action():
     lie = get_lie(2)
     eps1 = Root([1, 0])
-    h = mat_bracket(lie.e(eps1).matrix, lie.f(eps1).matrix)
+    h = mat_bracket(basis_matrix(lie, lie.e(eps1)), basis_matrix(lie, lie.f(eps1)))
     coeffs = lie.h_of_root(eps1)
     random.seed(5)
     for _ in range(10):
@@ -215,10 +221,11 @@ def test_invariant_form_values(l):
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 def test_invariant_form_matches_half_trace(l):
     lie = LieAlgebra(l)
-    for x in lie.basis:
-        for y in lie.basis:
+    mats = [basis_matrix(lie, b) for b in lie.basis]
+    for x, mx in zip(lie.basis, mats):
+        for y, my in zip(lie.basis, mats):
             got = lie.invariant_form(x, y)
-            assert type(got) is int and got == trace_form(x.matrix, y.matrix), (x, y)
+            assert type(got) is int and got == trace_form(mx, my), (x, y)
 
 
 def test_invariant_form_invariance():
@@ -261,11 +268,12 @@ def test_structure_constants_reject_a_non_integral_coefficient(monkeypatch):
 
 
 def test_structure_constants_reject_a_non_integral_root_coefficient():
-    # [e(eps2), e(eps1)] = -2 e(eps1+eps2); with e(eps1+eps2) scaled by 4 the
-    # coefficient read at one of its cells is -1/2, on the root-weight path
+    # [e(eps2), e(eps1)] = -2 e(eps1+eps2); with the unit of e(eps1+eps2)
+    # scaled by 4 the coefficient is -1/2, on the root-weight path
     lie = LieAlgebra(2)
     target = lie.e(Root([1, 1]))
-    target.matrix = mat_scale(Fraction(4), target.matrix)
+    a, b, u = target.unit
+    target.unit = (a, b, 4 * u)
     i, j = lie.e(Root([0, 1])).index, lie.e(Root([1, 0])).index
     with pytest.raises(ArithmeticError, match=re.escape(f"[x_{i}, x_{j}]")):
         lie.structure_constants()
@@ -275,9 +283,10 @@ def _matrix_structure_constants(lie) -> dict:
     """The full-scan table: mat_bracket and expand on every ordered pair, the
     reference for the table read by weight."""
     table = {}
-    for x in lie.basis:
-        for y in lie.basis:
-            exp = expand(lie, mat_bracket(x.matrix, y.matrix))
+    mats = [basis_matrix(lie, b) for b in lie.basis]
+    for x, mx in zip(lie.basis, mats):
+        for y, my in zip(lie.basis, mats):
+            exp = expand(lie, mat_bracket(mx, my))
             assert all(c.denominator == 1 for c in exp.values())
             table[(x.index, y.index)] = {k: int(c) for k, c in exp.items()}
     return table
@@ -381,7 +390,8 @@ def test_h_of_root_pairs_like_coroot(l):
 def test_h_of_root_matches_matrix_expansion(l):
     lie = LieAlgebra(l)
     for alpha in lie.rootsys.positive_roots:
-        exp = expand(lie, mat_bracket(lie.e(alpha).matrix, lie.f(alpha).matrix))
+        e, f = basis_matrix(lie, lie.e(alpha)), basis_matrix(lie, lie.f(alpha))
+        exp = expand(lie, mat_bracket(e, f))
         got = lie.h_of_root(alpha)
         assert got == {k - lie.h_start + 1: c for k, c in exp.items()}, alpha
         assert all(type(c) is int for c in got.values()), alpha
@@ -399,5 +409,5 @@ def test_h_of_root_rejects_a_root_that_is_not_positive(root):
 def test_basis_is_independent():
     lie = get_lie(3)
     for b in lie.basis:
-        assert expand(lie, b.matrix) == {b.index: Fraction(1)}
+        assert expand(lie, basis_matrix(lie, b)) == {b.index: Fraction(1)}
     assert len(lie.basis) == 2 * 3 * 3 + 3

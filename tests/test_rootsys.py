@@ -15,6 +15,8 @@ from blvoa.rootsys import (
     Weight,
     build_root_system,
     eps_root,
+    eps_to_fundamental,
+    fundamental_to_doubled_eps,
     harmonic_multiplicities,
     int_coroot,
     weight_from_fundamental,
@@ -147,6 +149,19 @@ def test_fundamental_coordinates_round_trip():
             rs = build_root_system(l)
             for i, alpha in enumerate(rs.simple_roots):
                 assert coroot_pairing(mu, alpha) == c[i]
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_integer_fundamental_maps_invert_each_other(l):
+    # on int eps-coordinates both maps stay in ints, and the doubled map
+    # takes the fundamental coordinates back to 2 mu
+    rng = random.Random(l)
+    for _ in range(50):
+        mu = tuple(rng.randint(-9, 9) for _ in range(l))
+        c = eps_to_fundamental(mu)
+        assert all(type(x) is int for x in c)
+        assert c == Weight(mu).fundamental()
+        assert fundamental_to_doubled_eps(c) == tuple(2 * m for m in mu)
 
 
 def test_dominance():
