@@ -308,12 +308,16 @@ def affine_pairings(
     <lambda + rho, (alpha + m delta)^vee> = (A m + B) / D for every m.
 
     The pairing is the coroot vector (alpha^vee, scale m) dotted with
-    (rho_bar + mu, k + h^vee), which D, their common denominator, makes
-    integral."""
-    shifted = [Fraction(r, 2) + c for r, c in zip(rs.rho2, lam.finite.eps)]
-    shifted.append(lam.level + dual_coxeter_number(rs.rank))
-    d = math.lcm(*(x.denominator for x in shifted))
-    ints = [x.numerator * (d // x.denominator) for x in shifted]
+    (rho_bar + mu, k + h^vee), which D, a common denominator of rho_bar,
+    mu and k, makes integral."""
+    k = exact(lam.level)
+    d = math.lcm(2, k.denominator, *(c.denominator for c in lam.finite.eps))
+    ints = [
+        r * (d // 2) + c.numerator * (d // c.denominator)
+        for r, c in zip(rs.rho2, lam.finite.eps)
+    ]
+    shift = k.numerator + dual_coxeter_number(rs.rank) * k.denominator   # (k + h^vee) k.den
+    ints.append(shift * (d // k.denominator))
     return d, {
         alpha: (ints[-1] * scale, sum(map(operator.mul, ints, x)))
         for alpha, x, scale in zip(rs.roots, rs.coroots, rs.scales)
@@ -391,32 +395,71 @@ def is_admissible(
     a space of rank l+1, the dimension of h oplus Qc; two modes of one root
     span (0, 1).  The simple ones among them, those that are no sum of two
     others, are reported; each split of alpha^vee is tested in O(1) per mode.
+    Only (i) reads B itself; the window, the span and the simple coroots
+    depend on D, the A and B mod D of each row, and m_max alone, the class
+    of the weight, and are computed once per class in a table that lives
+    for one call (``classify.certify`` shares one across its entries).
     """
-    l = rs.rank
-    if exact(lam.level) + dual_coxeter_number(l) <= 0:
+    return _certificate(lam, rs, m_max, {})
+
+
+def _certificate(
+    lam: AffineWeight, rs: RootSystem, m_max: Optional[int], windows: dict
+) -> AdmissibilityResult:
+    """is_admissible with the caller's table of windows, keyed by class."""
+    if exact(lam.level) + dual_coxeter_number(rs.rank) <= 0:
         raise ValueError("k + h^vee must be positive for the windowed check")
     if m_max is not None and m_max < 0:
         raise ValueError("m_max must be nonnegative")
     d, pairings = affine_pairings(lam, rs)
+    pairs = list(pairings.values())
     if m_max is None:
         # B / A = (rho_bar + mu, alpha) / (k + h^vee)
-        m_max = 2 * max(1, max(-(-abs(b) // a) for a, b in pairings.values()))
-    parts: dict[int, range] = {}   # row -> delta-parts scale m of its integral modes
+        m_max = 2 * max(1, max(-(-abs(b) // a) for a, b in pairs))
+    residues = tuple((a, b % d) for a, b in pairs)
+    key = (d, m_max, residues)
+    if key not in windows:
+        windows[key] = _window(rs, d, m_max, residues)
+    modes, span_rank, simple = windows[key]
     violating = []   # (m, row, A m + B) with A m + B <= 0
-    for row, ((a, b), lo, k) in enumerate(zip(pairings.values(), rs.low_modes, rs.scales)):
+    for row, ms in modes.items():
+        a, b = pairs[row]
+        if a * ms.start + b <= 0:
+            last = min(m_max, -b // a)
+            violating.extend((m, row, a * m + b) for m in range(ms.start, last + 1, ms.step))
+    violating.sort()   # by mode, then alpha, as the rows are sorted by alpha
+    return AdmissibilityResult(
+        ok=not violating and span_rank == rs.rank + 1,
+        weight=lam,
+        m_max=m_max,
+        integral_count=sum(map(len, modes.values())),
+        span_rank=span_rank,
+        simple_coroots=list(simple),
+        violations=[
+            (AffineRealRoot(built_root(rs.roots[row]), m), Fraction(value // d))
+            for m, row, value in violating
+        ],
+    )
+
+
+def _window(
+    rs: RootSystem, d: int, m_max: int, residues: tuple[tuple[int, int], ...]
+) -> tuple[dict[int, range], int, list[AffineRealRoot]]:
+    """The integral modes m <= m_max of each row, the rank of their
+    coroots and the simple ones among them, from D, m_max and each row's
+    (A, B mod D): which modes are integral depends on B only mod D."""
+    l = rs.rank
+    modes: dict[int, range] = {}   # row -> its integral modes in the window
+    parts: dict[int, range] = {}   # row -> their delta-parts scale m
+    for row, ((a, b), lo, k) in enumerate(zip(residues, rs.low_modes, rs.scales)):
         g = math.gcd(a, d)
         if b % g:
             continue
         step = d // g
         start = lo + ((-b // g) * pow(a // g, -1, step) - lo) % step
-        if start > m_max:
-            continue
-        parts[row] = range(k * start, k * (m_max + 1), k * step)
-        if a * start + b <= 0:
-            violating.extend(
-                (m, row, a * m + b) for m in range(start, min(m_max, -b // a) + 1, step)
-            )
-    violating.sort()   # by mode, then alpha, as the rows are sorted by alpha
+        if start <= m_max:
+            modes[row] = range(start, m_max + 1, step)
+            parts[row] = range(k * start, k * (m_max + 1), k * step)
     vectors = [rs.coroots[row] + (ts.start,) for row, ts in parts.items()]
     if any(len(ts) > 1 for ts in parts.values()):
         vectors.append((0,) * l + (1,))
@@ -432,15 +475,5 @@ def is_admissible(
                     break
         simple.extend((t // rs.scales[x], x) for t in left)
     simple.sort()
-    return AdmissibilityResult(
-        ok=not violating and span_rank == l + 1,
-        weight=lam,
-        m_max=m_max,
-        integral_count=sum(map(len, parts.values())),
-        span_rank=span_rank,
-        simple_coroots=[AffineRealRoot(built_root(rs.roots[row]), m) for m, row in simple],
-        violations=[
-            (AffineRealRoot(built_root(rs.roots[row]), m), Fraction(value // d))
-            for m, row, value in violating
-        ],
-    )
+    coroots = [AffineRealRoot(built_root(rs.roots[row]), m) for m, row in simple]
+    return modes, span_rank, coroots

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AdmissibilityResult, AffineWeight, is_admissible, level_of
+from .affine import AdmissibilityResult, AffineWeight, _certificate, level_of
 from .liealg import LieAlgebra
 from .rootsys import (
     RootSystem,
@@ -166,10 +166,13 @@ def merge_results(
 
 
 def certify(result: ClassificationResult, rs: RootSystem) -> ClassificationResult:
-    """Attach an admissibility certificate to every entry, all on the one datum rs."""
+    """Attach an admissibility certificate (affine.is_admissible) to every
+    entry, all on the one datum rs and with one table of windows, so the
+    window, span and simple coroots are computed once per residue class of
+    the entries; the table is dropped on return."""
+    windows: dict = {}
     certified = []
     for e in result.entries:
-        lam = AffineWeight(result.level, e.weight)
-        cert = is_admissible(lam, rs)
+        cert = _certificate(AffineWeight(result.level, e.weight), rs, None, windows)
         certified.append(replace(e, admissible=cert.ok, certificate=cert))
     return replace(result, entries=certified)

@@ -245,9 +245,8 @@ def cmd_p0(args) -> int:
     engine = UEA(lie, term_guard=default_guard(args))
     ceiling = at_least_one(args.oracle_ceiling, "--oracle-ceiling")
     oracle = p0_basis(engine, args.n, ceiling=ceiling)
-    lines = [f"oracle span dimension {len(oracle)}"]
-    for p in oracle:
-        lines.append(f"  {p}")
+    polys = (f"  {p}" for p in oracle)   # made only when emit prints them
+    compared = []
     status = f"dim={len(oracle)}"
     consistent = True
     if args.compare:
@@ -255,10 +254,13 @@ def cmd_p0(args) -> int:
         member = verify_membership(lie, args.n, oracle)
         # the oracle span must equal span(p_1..p_l) at n = 1
         equal = spans_equal(oracle, explicit)
-        lines.append(f"explicit p_i, q in oracle span: {str(member).lower()}")
-        lines.append(f"oracle span == explicit span: {str(equal).lower()}")
+        compared = [
+            f"explicit p_i, q in oracle span: {str(member).lower()}",
+            f"oracle span == explicit span: {str(equal).lower()}",
+        ]
         status += f",member={str(member).lower()},equal={str(equal).lower()}"
         consistent = member and (equal or args.n != 1)
+    lines = itertools.chain([f"oracle span dimension {len(oracle)}"], polys, compared)
     emit(args, level_of(args.rank, args.n), status, lines)
     if not consistent:
         raise InconsistencyError("explicit polynomials escape the oracle span")

@@ -702,8 +702,10 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         alpha, k, poly = params["alpha"], params["k"], params["poly"]
         shifted = poly.shift([-k * v for v in alpha.fundamental()])
         lhs = engine.multiply(engine.e(alpha, k), engine.from_cartan(poly))
-        rhs = engine.multiply(engine.from_cartan(shifted), engine.e(alpha, k))
-        return lhs == rhs
+        # P(h - k alpha) e_alpha^k is in PBW order as written: h letters first
+        raising = ((engine.lie.e(alpha).index, k),) if k else ()
+        rhs = {mono + raising: c for mono, c in engine.from_cartan(shifted).terms.items()}
+        return lhs.terms == rhs
     if ident == 7:
         i, k, m = params["i"], params["k"], params["m"]
         need(3 <= i <= l and k <= m, "identity 7 needs 3 <= i <= l, k <= m")
@@ -729,10 +731,12 @@ def check_identity(engine: UEA, ident: int, **params) -> bool:
         lhs = red(engine.ad_power(engine.e(alpha), k, engine.f(alpha, m)))
         coeff = math.factorial(m) // math.factorial(m - k)
         tail = falling(h_alpha_poly(engine.lie, alpha), k, start=m - k)
-        rhs = coeff * engine.multiply(
-            engine.f(alpha, m - k), engine.from_cartan(tail)
-        )
-        return lhs == red(rhs)
+        # f_alpha^(m-k) times the tail is in PBW order as written: f letters first
+        lowering = ((engine.lie.f(alpha).index, m - k),) if m > k else ()
+        rhs = {
+            lowering + mono: coeff * c for mono, c in engine.from_cartan(tail).terms.items()
+        }
+        return lhs.terms == rhs
     if ident == 11:
         i, k = params["i"], params["k"]
         need(3 <= i <= l, "identity 11 needs 3 <= i <= l")

@@ -39,6 +39,7 @@ independently so membership can be cross-checked.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -102,9 +103,10 @@ def generate_module(
     """R_0 as one grlex echelon of Cartan polynomials, one per vector
     ad(F_k)·v = v·F_k in U(g)/n_-U(g), v the singular image in integers
     and F_k the words of S(u_-) (``_words``), each distinct prefix
-    computed once by ``UEA.right_multiply``.  v·F_k is filed as its
-    coefficient p_E at E = 1; any other raising monomial E left raises
-    RuntimeError, naming its first letter.
+    computed once by ``UEA.right_multiply`` and dropped once its last
+    extension is built (every word has 2n letters, so none is a prefix of
+    another).  v·F_k is filed as its coefficient p_E at E = 1; any other
+    raising monomial E left raises RuntimeError, naming its first letter.
 
     OracleCeilingExceeded is raised before any work when the prefixes
     number more than the ceiling.  Three checks raise RuntimeError: the
@@ -134,8 +136,13 @@ def generate_module(
         raise RuntimeError("singular image is not a highest-weight vector")
     zero = (0,) * l
     built = {(): {mono: {zero: c} for mono, c in v.terms.items()}}
+    extensions = Counter(p[:-1] for p in prefixes)   # of each prefix, still to build
     for p in prefixes:
-        built[p] = engine.right_multiply(built[p[:-1]], lie.f(p[-1]).index)
+        parent = p[:-1]
+        built[p] = engine.right_multiply(built[parent], lie.f(p[-1]).index)
+        extensions[parent] -= 1
+        if not extensions[parent]:
+            del built[parent]
     r0 = Echelon(order=grlex)
     for word in words:
         stray = next((mono for mono in built[word] if mono), None)

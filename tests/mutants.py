@@ -12,7 +12,7 @@ Each mutant is applied to a fresh temporary copy of src (with tests,
 perfbench and pyproject.toml beside it, as the tests read them); its tests
 run there, and a mutant survives when they all pass.  The run prints each
 mutant as killed or SURVIVED with its time, and exits 1 if any survived;
-the full run (nineteen mutants) takes about 22 s on a 2-CPU x86-64 machine.
+the full run (twenty-one mutants) takes about 24 s on a 2-CPU x86-64 machine.
 Standard library only.
 """
 
@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 FULL_SCAN = "tests/test_liealg.py::test_structure_constants_match_full_scan_reference"
 LIEALG_GOLDEN = "tests/test_liealg_golden.py::test_liealg_data_matches_golden"
 ADMISSIBLE_DIFF = "tests/test_affine.py::test_is_admissible_matches_fraction_reference"
+SHARED_DIFF = "tests/test_affine.py::test_shared_class_tables_match_fraction_reference"
 SPLITS_SCAN = "tests/test_rootsys.py::test_closed_form_splits_match_a_scan_of_every_pair"
 RIGHT_INSERTION = "tests/test_uea.py::test_right_insertion_is_the_product_modulo_nminus"
 QUOTIENT_DESCENT = "tests/test_zero_weight.py::test_quotient_descent_matches_the_step_in_ug"
@@ -85,15 +86,25 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "violations only below 0",
         "src/blvoa/affine.py",
-        "        if a * start + b <= 0:\n"
-        "            violating.extend(\n"
-        "                (m, row, a * m + b)"
-        " for m in range(start, min(m_max, -b // a) + 1, step)\n",
-        "        if a * start + b < 0:\n"
-        "            violating.extend(\n"
-        "                (m, row, a * m + b)"
-        " for m in range(start, min(m_max, (-b - 1) // a) + 1, step)\n",
+        "        if a * ms.start + b <= 0:\n"
+        "            last = min(m_max, -b // a)\n",
+        "        if a * ms.start + b < 0:\n"
+        "            last = min(m_max, (-b - 1) // a)\n",
         (ADMISSIBLE_DIFF,),
+    ),
+    Mutant(
+        "class key without m_max",
+        "src/blvoa/affine.py",
+        "key = (d, m_max, residues)",
+        "key = (d, residues)",
+        (SHARED_DIFF,),
+    ),
+    Mutant(
+        "class key without the residues B mod D",
+        "src/blvoa/affine.py",
+        "key = (d, m_max, residues)",
+        "key = (d, m_max, tuple(a for a, _ in residues))",
+        (SHARED_DIFF,),
     ),
     Mutant(
         "splits cut to two per coroot",

@@ -19,7 +19,7 @@ method, a property or a documented library boundary.
 The run takes about 10 s on a 2-CPU x86-64 machine and prints
 
     130 distinct argv (54 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
-    never entered: 27 of 182 functions
+    never entered: 27 of 184 functions
       affine.VermaVector._space
       affine.VermaVector.level
       affine.VermaVector.__repr__

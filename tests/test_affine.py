@@ -14,6 +14,7 @@ from blvoa.affine import (
     AffineRealRoot,
     AffineWeight,
     VacuumModule,
+    _certificate,
     affine_bracket,
     affine_pairings,
     build_singular_candidate,
@@ -22,7 +23,12 @@ from blvoa.affine import (
     is_admissible,
     quadratic_creation_term,
 )
-from blvoa.classify import classify_category_o, classify_finite_dim
+from blvoa.classify import (
+    certify,
+    classify_category_o,
+    classify_finite_dim,
+    merge_results,
+)
 from blvoa.rootsys import Root, Weight, weight_from_fundamental
 from blvoa.uea import _common_grading
 from blvoa.zero_weight import singular_image
@@ -350,6 +356,16 @@ def _differential_cases():
             yield case
 
 
+def _assert_same_certificate(got, want, where):
+    """got and want agree field by field."""
+    assert got.ok == want.ok, where
+    assert got.m_max == want.m_max, where
+    assert got.integral_count == want.integral_count, where
+    assert got.span_rank == want.span_rank, where
+    assert got.simple_coroots == want.simple_coroots, where
+    assert got.violations == want.violations, where
+
+
 def test_is_admissible_matches_fraction_reference():
     cases = list(_differential_cases())
     assert len(cases) >= 160 + 150
@@ -357,14 +373,8 @@ def test_is_admissible_matches_fraction_reference():
     for l, lam, m_max in cases:
         rs = get_lie(l).rootsys
         got = is_admissible(lam, rs, m_max)
-        want = reference_is_admissible(lam, rs, m_max)
         where = (l, lam, m_max)
-        assert got.ok == want.ok, where
-        assert got.m_max == want.m_max, where
-        assert got.integral_count == want.integral_count, where
-        assert got.span_rank == want.span_rank, where
-        assert got.simple_coroots == want.simple_coroots, where
-        assert got.violations == want.violations, where
+        _assert_same_certificate(got, reference_is_admissible(lam, rs, m_max), where)
         seen_ok += got.ok
         seen_violation += bool(got.violations)
         # the affine pairing (A m + B) / D at every window root
@@ -374,3 +384,34 @@ def test_is_admissible_matches_fraction_reference():
             assert Fraction(a * r.m + b, d) == shifted_pairing(lam, r, rs), where
     # both outcomes are exercised, so agreement is not vacuous
     assert seen_ok >= 50 and seen_violation >= 50
+
+
+def test_shared_class_tables_match_fraction_reference():
+    """Certificates made from one table of windows per group of weights
+    (keyed by residue class and m_max) equal the Fraction reference: the
+    seeded random cases, one table per (rank, level) with explicit m_max
+    values among them, and every classify entry at six points through
+    certify, each also equal to is_admissible alone."""
+    groups = {}
+    for l, lam, m_max in _random_cases():
+        groups.setdefault((l, lam.level), []).append((lam, m_max))
+    shared = 0
+    for (l, _), cases in groups.items():
+        rs = get_lie(l).rootsys
+        windows = {}
+        for lam, m_max in cases:
+            got = _certificate(lam, rs, m_max, windows)
+            want = reference_is_admissible(lam, rs, m_max)
+            _assert_same_certificate(got, want, (l, lam, m_max))
+        shared += len(cases) - len(windows)
+    assert shared >= 10   # some weights did reuse a window
+    for l, n in ((2, 2), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2)):
+        lie = get_lie(l)
+        rs = lie.rootsys
+        result = merge_results(classify_category_o(lie, n), classify_finite_dim(rs, n))
+        for e in certify(result, rs).entries:
+            lam = AffineWeight(result.level, e.weight)
+            want = reference_is_admissible(lam, rs)
+            _assert_same_certificate(e.certificate, want, (l, n, e.weight))
+            assert e.admissible == want.ok
+            assert e.certificate == is_admissible(lam, rs)
