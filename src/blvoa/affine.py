@@ -24,7 +24,7 @@ from typing import Optional
 
 from .liealg import LieAlgebra, add_into
 from .rootsys import Root, RootSystem, Weight, built_root, eps_root, is_root
-from .uea import DEFAULT_TERM_GUARD, Rat, Sparse, TermGuardExceeded, exact
+from .uea import DEFAULT_TERM_GUARD, Echelon, Rat, Sparse, TermGuardExceeded, exact
 
 CWord = tuple[tuple[int, int], ...]   # ((mode, basis index), ...) sorted, modes < 0
 
@@ -324,21 +324,6 @@ def affine_pairings(
     }
 
 
-def _rank(vectors: list[tuple[int, ...]], full: int) -> int:
-    """The rank of integer vectors by fraction-free elimination, counted up
-    to full."""
-    rows: list[tuple[int, list[int]]] = []   # (pivot, row), each row 0 at earlier pivots
-    for v in vectors:
-        for p, r in rows:
-            if v[p]:
-                v = [r[p] * a - v[p] * b for a, b in zip(v, r)]
-        if any(v):
-            rows.append((next(k for k, c in enumerate(v) if c), v))
-            if len(rows) == full:
-                break
-    return len(rows)
-
-
 def _not_sums(ts: list[int], ys: range, zs: range) -> list[int]:
     """The t in ts that are not y + z with y in ys and z in zs, two ranges
     with steps p and q, in O(1) per t: t = ys[i] + zs[j] is p i + q j =
@@ -463,7 +448,11 @@ def _window(
     vectors = [rs.coroots[row] + (ts.start,) for row, ts in parts.items()]
     if any(len(ts) > 1 for ts in parts.values()):
         vectors.append((0,) * l + (1,))
-    span_rank = _rank(vectors, l + 1)
+    span = Echelon()   # the rank of the coroots, counted up to l + 1
+    for v in vectors:
+        if span.dim < l + 1:
+            span.insert(dict(enumerate(v)))
+    span_rank = span.dim
     simple = []
     splits = rs.splits
     for x, ts in parts.items():

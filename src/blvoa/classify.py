@@ -10,17 +10,14 @@ affine weight k Lambda_0 + mu.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import AdmissibilityResult, AffineWeight, _certificate, level_of
-from .liealg import LieAlgebra
 from .rootsys import (
     RootSystem,
     Weight,
-    eps_to_fundamental,
     fundamental_to_doubled_eps,
     weight_from_fundamental,
 )
@@ -43,15 +40,6 @@ class ClassificationResult:
     level: Fraction
     entries: list[Entry]
     complete: bool   # False for the n > 1 candidate category-O list
-
-
-def _fundamental_keys(weights: Sequence[Weight]) -> list[tuple[int, ...]]:
-    """Weight.fundamental() of each weight times one common denominator of
-    all their coordinates, in ints: keys that sort and compare as the
-    fundamental coordinates do."""
-    d = math.lcm(*(c.denominator for w in weights for c in w.eps))
-    scaled = [[c.numerator * (d // c.denominator) for c in w.eps] for w in weights]
-    return [eps_to_fundamental(m) for m in scaled]
 
 
 def _doubled_zeros(rank: int, n: int) -> list[tuple[int, ...]]:
@@ -84,7 +72,7 @@ def _weight_of_doubled(doubled: Sequence[int]) -> Weight:
     return Weight(Fraction(x, 4) for x in fundamental_to_doubled_eps(doubled))
 
 
-def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
+def classify_category_o(rs: RootSystem, n: int) -> ClassificationResult:
     """The category-O highest-weight list at level n - l + 1/2: the common
     zeros of p_1..p_l at which q vanishes, q evaluated from its product
     form in integers, sorted by fundamental coordinates.
@@ -96,7 +84,6 @@ def classify_category_o(lie: LieAlgebra, n: int) -> ClassificationResult:
     n > 1 the zeros are flagged as candidates (complete=False): the full
     polynomial span could cut further.
     """
-    rs = lie.rootsys
     terms = q_terms(rs.rank, n)
     entries = []
     for d in _doubled_zeros(rs.rank, n):
@@ -116,29 +103,25 @@ def classify_finite_dim(rs: RootSystem, n: int) -> ClassificationResult:
     """Dominant integral weights with (mu, eps_1) <= n - 1/2.
 
     In fundamental coordinates the constraint reads
-    c_1 + ... + c_{l-1} + c_l/2 <= n - 1/2 over nonnegative integers,
-    which bounds the enumeration box outright.
+    2 (c_1 + ... + c_{l-1}) + c_l <= 2n - 1 over nonnegative integers:
+    given the budget 2n - 1 - 2 (c_1 + ... + c_i) of a prefix, c_l runs up
+    to the budget and each earlier c_{i+1} up to half of it.
     """
     l = rs.rank
-    k = level_of(l, n)
-    limit = Fraction(2 * n - 1, 2)
     entries: list[Entry] = []
 
-    def rec(prefix: list[int], used: Fraction) -> None:
-        i = len(prefix)
-        if i == l:
-            entries.append(
-                Entry(weight_from_fundamental(prefix), ("finite-dim",))
+    def rec(prefix: list[int], budget: int) -> None:
+        if len(prefix) == l - 1:
+            entries.extend(
+                Entry(weight_from_fundamental(prefix + [c]), ("finite-dim",))
+                for c in range(budget + 1)
             )
             return
-        step = Fraction(1) if i < l - 1 else Fraction(1, 2)
-        c = 0
-        while used + c * step <= limit:
-            rec(prefix + [c], used + c * step)
-            c += 1
+        for c in range(budget // 2 + 1):
+            rec(prefix + [c], budget - 2 * c)
 
-    rec([], Fraction(0))   # visits the prefixes, the fundamental coordinates, in order
-    return ClassificationResult(l, n, k, entries, complete=True)
+    rec([], 2 * n - 1)   # visits the prefixes, the fundamental coordinates, in order
+    return ClassificationResult(l, n, level_of(l, n), entries, complete=True)
 
 
 def merge_results(
@@ -147,20 +130,17 @@ def merge_results(
     """Union by weight; tags are merged, S labels kept when present."""
     if (a.rank, a.n) != (b.rank, b.n):
         raise ValueError("cannot merge classifications of different (rank, n)")
-    entries = list(a.entries) + list(b.entries)
-    by_weight: dict[tuple[int, ...], Entry] = {}
-    for key, e in zip(_fundamental_keys([e.weight for e in entries]), entries):
-        if key in by_weight:
-            old = by_weight[key]
+    by_weight: dict[Weight, Entry] = {}
+    for e in list(a.entries) + list(b.entries):
+        old = by_weight.setdefault(e.weight, e)
+        if old is not e:
             tags = tuple(dict.fromkeys(old.tags + e.tags))
-            by_weight[key] = replace(old, tags=tags, s_label=old.s_label or e.s_label)
-        else:
-            by_weight[key] = e
+            by_weight[e.weight] = replace(old, tags=tags, s_label=old.s_label or e.s_label)
     return ClassificationResult(
         a.rank,
         a.n,
         a.level,
-        [by_weight[key] for key in sorted(by_weight)],
+        sorted(by_weight.values(), key=lambda e: e.weight.fundamental()),
         complete=a.complete and b.complete,
     )
 

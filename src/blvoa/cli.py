@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -40,8 +39,6 @@ from .zero_weight import (
     p0_basis,
     verify_membership,
 )
-
-GUARD_ENV = "BLVOA_GUARD"
 
 
 class UsageError(Exception):
@@ -144,12 +141,6 @@ def at_least_one(value: int, name: str) -> int:
 def default_guard(args) -> int:
     if args.guard is not None:
         return at_least_one(args.guard, "--guard")
-    env = os.environ.get(GUARD_ENV)
-    if env:
-        try:
-            return at_least_one(int(env), GUARD_ENV)
-        except ValueError as exc:
-            raise UsageError(f"bad {GUARD_ENV} value {env!r}") from exc
     return DEFAULT_TERM_GUARD
 
 
@@ -194,13 +185,12 @@ def fmt_weight(w) -> str:
 
 
 def cmd_classify(args) -> int:
-    lie = LieAlgebra(args.rank)
-    rs = lie.rootsys
+    rs = build_root_system(args.rank)
     want_o = args.category_o or not args.finite_dim
     want_fd = args.finite_dim or not args.category_o
     result = None
     if want_o:
-        result = classify_category_o(lie, args.n)
+        result = classify_category_o(rs, args.n)
     if want_fd:
         fd = classify_finite_dim(rs, args.n)
         result = merge_results(result, fd) if result is not None else fd

@@ -43,20 +43,6 @@ class Weight:
         """Values on the simple coroots h_1, ..., h_l (eps_to_fundamental)."""
         return eps_to_fundamental(self.eps)
 
-    def __add__(self, other: "Weight") -> "Weight":
-        _check_rank(self, other)
-        return Weight(a + b for a, b in zip(self.eps, other.eps))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        _check_rank(self, other)
-        return Weight(a - b for a, b in zip(self.eps, other.eps))
-
-    def __neg__(self) -> "Weight":
-        return Weight(-a for a in self.eps)
-
-    def __rmul__(self, scalar: Rat) -> "Weight":
-        return Weight(exact(scalar) * a for a in self.eps)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Weight) and self.eps == other.eps
 
@@ -107,11 +93,6 @@ def built_root(coords: tuple[int, ...]) -> Root:
     root = Root.__new__(Root)
     root.eps = coords
     return root
-
-
-def _check_rank(a: Weight, b: Weight) -> None:
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
 
 
 def int_coroot(alpha: Sequence[int]) -> tuple[int, ...]:

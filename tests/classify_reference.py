@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 from blvoa.classify import _doubled_zeros, _weight_of_doubled
 from blvoa.rootsys import RootSystem, Weight
 from blvoa.zero_weight import q_numerator, q_terms
+from fraction_reference import add, scale
 
 
 def fundamental_weight(rs: RootSystem, i: int) -> Weight:
@@ -44,9 +45,9 @@ def _mu_subset(
         for s in range(j + 1, k):
             coeff += 2 * (-1) ** (s - j) * idxs[s]
         coeff += (-1) ** (k - j) * const
-        mu = mu + coeff * fundamental_weight(rs, idxs[j])
+        mu = add(mu, scale(coeff, fundamental_weight(rs, idxs[j])))
     if add_last:
-        mu = mu + fundamental_weight(rs, rs.rank)
+        mu = add(mu, fundamental_weight(rs, rs.rank))
     return mu
 
 

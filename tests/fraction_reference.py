@@ -15,7 +15,7 @@ from blvoa.affine import (
     AffineWeight,
     dual_coxeter_number,
 )
-from blvoa.rootsys import RootSystem, Weight, _check_rank, int_coroot
+from blvoa.rootsys import RootSystem, Weight, int_coroot
 from blvoa.uea import Echelon
 
 
@@ -24,9 +24,22 @@ def weyl_vector(rs: RootSystem) -> Weight:
     return Weight(Fraction(sum(c), 2) for c in zip(*(a.eps for a in rs.positive_roots)))
 
 
+def add(*weights: Weight) -> Weight:
+    """The sum of weights of one rank, coordinate by coordinate."""
+    if len({w.rank for w in weights}) != 1:
+        raise ValueError(f"rank mismatch: {[w.rank for w in weights]}")
+    return Weight(sum(cs) for cs in zip(*(w.eps for w in weights)))
+
+
+def scale(c, w: Weight) -> Weight:
+    """c w for an exact scalar c."""
+    return Weight(c * x for x in w.eps)
+
+
 def inner(a: Weight, b: Weight) -> Fraction:
     """Normalized invariant form on weight space; (eps_i, eps_j) = delta_ij."""
-    _check_rank(a, b)
+    if a.rank != b.rank:
+        raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     return sum((x * y for x, y in zip(a.eps, b.eps)), Fraction(0))
 
 
@@ -53,7 +66,7 @@ def shifted_pairing(lam: AffineWeight, root: AffineRealRoot, rs: RootSystem) -> 
     return (
         Fraction(2)
         / norm
-        * (root.m * (lam.level + hv) + inner(weyl_vector(rs) + lam.finite, root.alpha))
+        * (root.m * (lam.level + hv) + inner(add(weyl_vector(rs), lam.finite), root.alpha))
     )
 
 
@@ -85,7 +98,7 @@ def positive_real_roots(rs: RootSystem, m_max: int) -> list[AffineRealRoot]:
     for m in range(1, m_max + 1):
         for alpha in rs.positive_roots:
             out.append(AffineRealRoot(alpha, m))
-            out.append(AffineRealRoot(-alpha, m))
+            out.append(AffineRealRoot(scale(-1, alpha), m))
     out.sort(key=lambda r: (r.m, r.alpha.eps))
     return out
 
@@ -112,7 +125,7 @@ def reference_is_admissible(lam, rs, m_max=None) -> AdmissibilityResult:
         raise ValueError("k + h^vee must be positive for the windowed check")
     if m_max is None:
         bound = max(
-            abs(inner(weyl_vector(rs) + lam.finite, alpha))
+            abs(inner(add(weyl_vector(rs), lam.finite), alpha))
             for alpha in rs.positive_roots
         )
         m_max = 2 * max(1, math.ceil(bound / shift))

@@ -18,8 +18,8 @@ method, a property or a documented library boundary.
 
 The run takes about 10 s on a 2-CPU x86-64 machine and prints
 
-    130 distinct argv (54 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
-    never entered: 27 of 184 functions
+    127 distinct argv (51 from tests/test_cli.py, 76 benchmark jobs), each as text and with --json
+    never entered: 22 of 177 functions
       affine.VermaVector._space
       affine.VermaVector.level
       affine.VermaVector.__repr__
@@ -27,13 +27,8 @@ The run takes about 10 s on a 2-CPU x86-64 machine and prints
       cli.console_main
       liealg.BasisElement.__repr__
       liealg.LieAlgebra.h
-      rootsys.Weight.__add__
-      rootsys.Weight.__sub__
-      rootsys.Weight.__neg__
-      rootsys.Weight.__rmul__
       rootsys.Weight.__repr__
       rootsys.Root.__repr__
-      rootsys._check_rank
       uea.Sparse._space
       uea.Sparse.__neg__
       uea.Sparse.__hash__

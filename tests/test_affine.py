@@ -34,6 +34,7 @@ from blvoa.uea import _common_grading
 from blvoa.zero_weight import singular_image
 from classify_reference import mu_s, mu_s_prime
 from fraction_reference import (
+    add,
     coroot_vector,
     inner,
     positive_real_roots,
@@ -48,7 +49,7 @@ def finite_weight(v):
     """Common finite ad-h weight of all words of v, or "mixed"."""
     lie = v.module.lie
     zero = Weight([0] * lie.rank)
-    weights = (sum((Weight(lie.weights[idx]) for _, idx in word), zero) for word in v.terms)
+    weights = (add(zero, *(Weight(lie.weights[idx]) for _, idx in word)) for word in v.terms)
     return _common_grading(weights, zero)
 
 
@@ -329,7 +330,7 @@ def _pool_cases():
 
 def _category_o_cases():
     for l, n in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3)):
-        result = classify_category_o(get_lie(l), n)
+        result = classify_category_o(get_lie(l).rootsys, n)
         for e in result.entries:
             yield l, AffineWeight(result.level, e.weight), None
 
@@ -408,7 +409,7 @@ def test_shared_class_tables_match_fraction_reference():
     for l, n in ((2, 2), (2, 5), (3, 2), (3, 3), (4, 2), (5, 2)):
         lie = get_lie(l)
         rs = lie.rootsys
-        result = merge_results(classify_category_o(lie, n), classify_finite_dim(rs, n))
+        result = merge_results(classify_category_o(rs, n), classify_finite_dim(rs, n))
         for e in certify(result, rs).entries:
             lam = AffineWeight(result.level, e.weight)
             want = reference_is_admissible(lam, rs)

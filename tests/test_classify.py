@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from admissible_reference import admissible_doubled, admissible_weights, doubled_box, eps_of
 from classify_reference import (
     closed_form_category_o,
     mu_s,
@@ -17,6 +18,7 @@ from conftest import get_engine, get_lie
 from fraction_reference import inner
 from uea_reference import evaluate_weight
 
+from blvoa.affine import AffineWeight, is_admissible
 from blvoa.classify import (
     certify,
     classify_category_o,
@@ -24,7 +26,7 @@ from blvoa.classify import (
     level_of,
     merge_results,
 )
-from blvoa.rootsys import Weight, weight_from_fundamental
+from blvoa.rootsys import Weight, build_root_system, weight_from_fundamental
 from blvoa.zero_weight import explicit_p, explicit_q, p0_basis
 
 
@@ -136,7 +138,7 @@ def test_category_o_filter_matches_expanded_q(l, n):
     lie = get_lie(l)
     q = explicit_q(lie, n)
     want = [w for w in solve_triangular(l, n) if evaluate_weight(q, w) == 0]
-    assert [e.weight for e in classify_category_o(lie, n).entries] == want
+    assert [e.weight for e in classify_category_o(lie.rootsys, n).entries] == want
 
 
 def test_mu_subset_examples():
@@ -154,7 +156,7 @@ def test_mu_subset_examples():
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_category_o_matches_triangular_at_n1(l):
     lie = get_lie(l)
-    result = classify_category_o(lie, 1)
+    result = classify_category_o(lie.rootsys, 1)
     assert len(result.entries) == 2**l
     assert result.complete
     got = {fund(e.weight) for e in result.entries}
@@ -167,7 +169,7 @@ def test_category_o_matches_triangular_at_n1(l):
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7])
 def test_category_o_at_n1_matches_the_closed_form(l):
     lie = get_lie(l)
-    got = [(e.weight, e.s_label) for e in classify_category_o(lie, 1).entries]
+    got = [(e.weight, e.s_label) for e in classify_category_o(lie.rootsys, 1).entries]
     assert got == closed_form_category_o(lie.rootsys)
     assert len(got) == 2**l
 
@@ -176,14 +178,14 @@ def test_category_o_at_n1_matches_the_closed_form(l):
 def test_category_o_entries_zero_the_oracle(l):
     eng = get_engine(l)
     basis = p0_basis(eng, 1)
-    for e in classify_category_o(eng.lie, 1).entries:
+    for e in classify_category_o(eng.lie.rootsys, 1).entries:
         for p in basis:
             assert evaluate_weight(p, e.weight) == 0
 
 
 def test_category_o_candidates_at_n2():
     lie = get_lie(2)
-    result = classify_category_o(lie, 2)
+    result = classify_category_o(lie.rootsys, 2)
     assert not result.complete
     assert "candidate" in result.entries[0].tags
     q = explicit_q(lie, 2)
@@ -217,7 +219,7 @@ def test_finite_dim_is_dominant_subset_of_category_o():
     for l in (2, 3):
         lie = get_lie(l)
         rs = lie.rootsys
-        cat = classify_category_o(lie, 1)
+        cat = classify_category_o(rs, 1)
         fd = classify_finite_dim(rs, 1)
         dominant = {
             fund(e.weight) for e in cat.entries if rs.is_dominant_integral(e.weight)
@@ -229,7 +231,7 @@ def test_certify_all_entries():
     for l in (2, 3):
         lie = get_lie(l)
         merged = merge_results(
-            classify_category_o(lie, 1), classify_finite_dim(lie.rootsys, 1)
+            classify_category_o(lie.rootsys, 1), classify_finite_dim(lie.rootsys, 1)
         )
         certified = certify(merged, lie.rootsys)
         assert all(e.admissible for e in certified.entries)
@@ -242,11 +244,43 @@ def test_certify_all_entries():
 def test_merge_requires_same_parameters():
     lie = get_lie(2)
     with pytest.raises(ValueError):
-        merge_results(classify_category_o(lie, 1), classify_finite_dim(lie.rootsys, 2))
+        merge_results(classify_category_o(lie.rootsys, 1), classify_finite_dim(lie.rootsys, 2))
 
 
 def test_entries_sorted_deterministically():
     lie = get_lie(3)
-    result = classify_category_o(lie, 1)
+    result = classify_category_o(lie.rootsys, 1)
     funds = [fund(e.weight) for e in result.entries]
     assert funds == sorted(funds)
+
+
+# the admissible entries of the category-O list against the closed form of
+# the admissibility definition, which imports nothing of blvoa
+REFERENCE_POINTS = [(2, 2), (3, 3), (2, 5), (4, 3)]
+
+
+@pytest.mark.parametrize("l,n", REFERENCE_POINTS)
+def test_admissible_category_o_entries_match_the_closed_form(l, n):
+    rs = build_root_system(l)
+    result = certify(classify_category_o(rs, n), rs)
+    got = sorted(e.weight.eps for e in result.entries if e.admissible)
+    assert got == sorted(admissible_weights(l, n))
+
+
+@pytest.mark.parametrize("l,n", REFERENCE_POINTS)
+def test_closed_form_has_2_to_the_l_minus_1_weights_per_finite_dim_weight(l, n):
+    finite_dim = classify_finite_dim(build_root_system(l), n).entries
+    assert len(admissible_doubled(l, n)) == 2 ** (l - 1) * len(finite_dim)
+
+
+@pytest.mark.parametrize("l,n", [(2, 2), (3, 2)])
+def test_engine_admits_exactly_the_closed_form_in_its_box(l, n):
+    """The engine's certificate on every X = 2 mu + rho2 in (0, H)^l, the
+    box of the closed form: the admissible ones are exactly its list."""
+    rs = build_root_system(l)
+    admitted = [
+        x
+        for x in doubled_box(l, n)
+        if is_admissible(AffineWeight(level_of(l, n), Weight(eps_of(x))), rs).ok
+    ]
+    assert admitted == admissible_doubled(l, n)

@@ -8,20 +8,16 @@ admissibility.  ``admissible --rank 2 --level -1/2 --weight -3/2,1`` lists
 more simple coroots than the rank allows (ROADMAP item 5).  Both are
 pinned as they stand, so a change to either shows here.
 
-The file is recorded with ``PYTHONPATH=src python tests/test_classify_golden.py``
-(``BLVOA_GUARD`` unset); record it only from a commit whose output is known
-to be right, since the test takes the file as the truth.
+The file is recorded with ``PYTHONPATH=src python tests/test_classify_golden.py``;
+record it only from a commit whose output is known to be right, since the test takes the file as the truth.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
 
 from test_p0_golden import run_cli
-
-from blvoa.cli import GUARD_ENV
 
 GOLDEN = Path(__file__).with_name("classify_golden.json")
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -49,14 +45,12 @@ def test_golden_covers_its_argv():
 @pytest.mark.parametrize(
     "argv", golden_argvs(), ids=lambda a: "".join(a).replace("--", "_")
 )
-def test_classify_output_matches_golden(argv, monkeypatch):
-    monkeypatch.delenv(GUARD_ENV, raising=False)
+def test_classify_output_matches_golden(argv):
     with open(GOLDEN) as fh:
         want = next(r for r in json.load(fh) if r["argv"] == argv)
     assert run_cli(argv) == want
 
 
 if __name__ == "__main__":
-    os.environ.pop(GUARD_ENV, None)
     records = [run_cli(argv) for argv in golden_argvs()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

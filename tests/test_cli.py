@@ -140,13 +140,6 @@ def test_guard_flag_exits_2(capsys):
     assert "U(g) normalization reached 3 terms, over the guard 2" in err
 
 
-def test_guard_env(capsys, monkeypatch):
-    monkeypatch.setenv("BLVOA_GUARD", "2")
-    code, _, err = run(capsys, "p0", "--rank", "3", "--n", "1")
-    assert code == 2
-    assert "U(g) normalization reached 3 terms, over the guard 2" in err
-
-
 # check-singular's guard bounds the words of one vacuum-module apply result:
 # at (2, 2) some result has more than one word
 def test_check_singular_guard_exits_2(capsys):
@@ -155,12 +148,6 @@ def test_check_singular_guard_exits_2(capsys):
     )
     assert code == 2
     assert "N(k, 0) apply reached 2 terms, over the guard 1" in err
-
-
-def test_check_singular_guard_env(capsys, monkeypatch):
-    monkeypatch.setenv("BLVOA_GUARD", "1")
-    code, _, _ = run(capsys, "check-singular", "--rank", "2", "--n", "2")
-    assert code == 2
 
 
 # a guard or ceiling below 1 can bound nothing: a usage error, not exit 2
@@ -179,14 +166,6 @@ def test_guard_and_ceiling_below_1_are_usage_errors(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"usage error: {message} must be at least 1\n"
-
-
-def test_guard_env_below_1_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("BLVOA_GUARD", "-5")
-    code, out, err = run(capsys, "p0", "--rank", "2", "--n", "1")
-    assert code == 1
-    assert out == ""
-    assert err == "usage error: BLVOA_GUARD must be at least 1\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -315,7 +294,7 @@ def test_parser_builds_every_command_for_any_other_first_argument(command):
         (("identities", "--rank", "2"), 2),
         (("dim", "--rank", "3", "--weight", "1,0,0"), 0),
         (("admissible", "--rank", "3", "--level", "-1/2", "--weight", "0,0,0"), 0),
-        (("classify", "--rank", "2", "--n", "2"), 2),
+        (("classify", "--rank", "2", "--n", "2"), 0),
     ],
 )
 def test_consecutive_calls_share_no_construction(capsys, monkeypatch, argv, lie_algebras):

@@ -23,7 +23,7 @@ import pytest
 
 from test_cli import REMOVED_FLAG_ARGVS
 
-from blvoa.cli import COMMANDS, GUARD_ENV, main
+from blvoa.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 COLUMNS = "80"
@@ -70,7 +70,6 @@ def test_golden_covers_its_argv():
 )
 def test_cli_output_matches_golden(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
-    monkeypatch.delenv(GUARD_ENV, raising=False)
     with open(GOLDEN) as fh:
         want = next(r for r in json.load(fh) if r["argv"] == argv)
     assert run_cli(argv) == want
@@ -78,6 +77,5 @@ def test_cli_output_matches_golden(argv, monkeypatch):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
-    os.environ.pop(GUARD_ENV, None)
     records = [run_cli(argv) for argv in golden_argvs()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

@@ -3,20 +3,18 @@
 (3, 3) and (5, 2), where the quotient by n_-U(g) drops the most,
 each as text and ``--json``, against ``p0_golden.json``.
 
-The file is recorded with ``PYTHONPATH=src python tests/test_p0_golden.py``
-(``BLVOA_GUARD`` unset); record it only from a commit whose output is known
-to be right, since the test takes the file as the truth.
+The file is recorded with ``PYTHONPATH=src python tests/test_p0_golden.py``;
+record it only from a commit whose output is known to be right, since the test takes the file as the truth.
 """
 
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 import pytest
 
-from blvoa.cli import GUARD_ENV, main
+from blvoa.cli import main
 
 GOLDEN = Path(__file__).with_name("p0_golden.json")
 P0_POINTS = [(2, 1), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (4, 2)]
@@ -57,14 +55,12 @@ def test_golden_covers_its_argv():
 @pytest.mark.parametrize(
     "argv", golden_argvs(), ids=lambda a: "".join(a[1:]).replace("--", "_").strip("_")
 )
-def test_p0_output_matches_golden(argv, monkeypatch):
-    monkeypatch.delenv(GUARD_ENV, raising=False)
+def test_p0_output_matches_golden(argv):
     with open(GOLDEN) as fh:
         want = next(r for r in json.load(fh) if r["argv"] == argv)
     assert run_cli(argv) == want
 
 
 if __name__ == "__main__":
-    os.environ.pop(GUARD_ENV, None)
     records = [run_cli(argv) for argv in golden_argvs()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

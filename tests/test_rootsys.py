@@ -22,7 +22,7 @@ from blvoa.rootsys import (
     weight_from_fundamental,
 )
 from classify_reference import fundamental_weight
-from fraction_reference import coroot_pairing, coroot_splits, inner, weyl_vector
+from fraction_reference import add, coroot_pairing, coroot_splits, inner, scale, weyl_vector
 
 
 def eps(*coords):
@@ -52,12 +52,12 @@ def test_highest_root_and_simple_decomposition():
     rs = build_root_system(2)
     assert rs.highest_root == eps(1, 1)
     a1, a2 = rs.simple_roots
-    assert rs.highest_root == a1 + 2 * a2
+    assert rs.highest_root == add(a1, scale(2, a2))
     for l in (3, 4):
         rsl = build_root_system(l)
         total = rsl.simple_roots[0]
         for a in rsl.simple_roots[1:]:
-            total = total + 2 * a
+            total = add(total, scale(2, a))
         assert rsl.highest_root == total
 
 
@@ -94,7 +94,7 @@ def test_inner_bilinear_symmetric():
         c = Weight([Fraction(random.randint(-5, 5), random.randint(1, 4)) for _ in range(3)])
         s = Fraction(random.randint(-3, 3))
         assert inner(a, b) == inner(b, a)
-        assert inner(a + s * b, c) == inner(a, c) + s * inner(b, c)
+        assert inner(add(a, scale(s, b)), c) == inner(a, c) + s * inner(b, c)
 
 
 def test_inner_rank_mismatch():
@@ -122,7 +122,7 @@ def test_coroot_pairing_examples():
     a1, a2 = rs.simple_roots
     assert coroot_pairing(w1, a1) == 1
     assert coroot_pairing(w1, a2) == 0
-    assert coroot_pairing(2 * w1, eps(1, 0)) == 4
+    assert coroot_pairing(scale(2, w1), eps(1, 0)) == 4
 
 
 def test_coroot_pairing_zero_root_rejected():
@@ -166,20 +166,20 @@ def test_integer_fundamental_maps_invert_each_other(l):
 
 def test_dominance():
     rs = build_root_system(2)
-    assert rs.is_dominant_integral(2 * fundamental_weight(rs, 1))
-    assert not rs.is_dominant_integral(Fraction(-1, 2) * fundamental_weight(rs, 1))
+    assert rs.is_dominant_integral(scale(2, fundamental_weight(rs, 1)))
+    assert not rs.is_dominant_integral(scale(Fraction(-1, 2), fundamental_weight(rs, 1)))
     assert rs.is_dominant_integral(fundamental_weight(rs, 2))
-    assert not rs.is_dominant_integral(Fraction(1, 3) * fundamental_weight(rs, 1))
+    assert not rs.is_dominant_integral(scale(Fraction(1, 3), fundamental_weight(rs, 1)))
 
 
 def test_weyl_dim_values():
     rs = build_root_system(2)
-    assert rs.weyl_dim(2 * fundamental_weight(rs, 1)) == 14
+    assert rs.weyl_dim(scale(2, fundamental_weight(rs, 1))) == 14
     for l in range(2, 7):
         rsl = build_root_system(l)
         assert rsl.weyl_dim(Weight([0] * l)) == 1
         assert rsl.weyl_dim(fundamental_weight(rsl, 1)) == 2 * l + 1
-        assert rsl.weyl_dim(2 * fundamental_weight(rsl, 1)) == 2 * l * l + 3 * l
+        assert rsl.weyl_dim(scale(2, fundamental_weight(rsl, 1))) == 2 * l * l + 3 * l
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -201,7 +201,7 @@ def test_weyl_dim_spin_representation():
 def test_weyl_dim_rejects_non_dominant():
     rs = build_root_system(2)
     with pytest.raises(ValueError):
-        rs.weyl_dim(Fraction(-1, 2) * fundamental_weight(rs, 1))
+        rs.weyl_dim(scale(Fraction(-1, 2), fundamental_weight(rs, 1)))
 
 
 def _reference_is_dominant_integral(rs, mu) -> bool:
@@ -218,7 +218,7 @@ def _reference_weyl_dim(rs, mu) -> int:
     (mu + rho, alpha) / (rho, alpha) with inner()."""
     if not _reference_is_dominant_integral(rs, mu):
         raise ValueError(f"weight {mu} is not dominant integral")
-    shifted = mu + weyl_vector(rs)
+    shifted = add(mu, weyl_vector(rs))
     num = Fraction(1)
     for alpha in rs.positive_roots:
         num *= inner(shifted, alpha) / inner(weyl_vector(rs), alpha)

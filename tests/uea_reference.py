@@ -15,6 +15,7 @@ from blvoa.liealg import BasisElement, LieAlgebra
 from blvoa.rootsys import Root, Weight
 from blvoa.uea import MIXED, UEA, CartanPolynomial, Echelon, Rat, UEAElement
 from blvoa.zero_weight import _compositions
+from fraction_reference import add
 
 
 def ad_word(engine: UEA, letters: Sequence[UEAElement], y: UEAElement) -> UEAElement:
@@ -52,7 +53,7 @@ def check_commuting_monomials(
     (Y2)_L Y1 - (-1)^m Y1*Y2 must lie in U(g)n_+.
     """
     zero = Weight([0] * engine.lie.rank)
-    if sum(betas, zero) != sum(gammas, zero):
+    if add(zero, *betas) != add(zero, *gammas):
         raise ValueError("root sums differ")
     e_letters = [engine.e(b) for b in betas]
     f_letters = [engine.f(g) for g in gammas]
